@@ -65,7 +65,7 @@ func TestAddPreservesClusterOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, members := range ix.ti.clusters {
+	for _, members := range ix.state.Load().ti.clusters {
 		total += len(members)
 		for j := 1; j < len(members); j++ {
 			if members[j].dist < members[j-1].dist {

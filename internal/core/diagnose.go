@@ -27,32 +27,25 @@ func (ti *tiIndex) sizes() []int {
 	return s
 }
 
-// diagInputLocked assembles the read-only view Compute needs. Callers hold
-// at least ix.mu.RLock.
-func (ix *Index) diagInputLocked() diag.Input {
-	return diag.Input{
-		N:              ix.n,
-		Dim:            ix.queryDim,
-		Bits:           ix.bits,
-		VarianceShares: ix.subVar,
-		Codebooks:      ix.cb,
-		Codes:          ix.codes,
-		ClusterSizes:   ix.ti.sizes(),
-		Projected:      ix.retained,
-	}
-}
-
 // Diagnose computes a point-in-time IndexReport: utilization and TI
 // balance are always recomputed from the current codes; the distortion
 // fields come from the retained projected vectors when the index has them
 // (MSESource "fresh", covering everything Add appended), else from the
 // Build-time baseline (MSESource "build-baseline"), else the report is
 // Partial (a loaded index retains neither). Safe to call concurrently
-// with Search and Add.
+// with Search and Add: it reports one published state.
 func (ix *Index) Diagnose() *diag.Report {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	rep := diag.Compute(ix.diagInputLocked())
+	st := ix.state.Load()
+	rep := diag.Compute(diag.Input{
+		N:              st.n,
+		Dim:            ix.queryDim,
+		Bits:           ix.bits,
+		VarianceShares: ix.subVar,
+		Codebooks:      ix.cb,
+		Codes:          st.codes,
+		ClusterSizes:   st.ti.sizes(),
+		Projected:      st.retained,
+	})
 	rep.GeneratedAt = time.Now()
 	switch {
 	case !rep.Partial:
@@ -77,23 +70,17 @@ func (ix *Index) Diagnose() *diag.Report {
 		}
 	}
 	if ix.baselineMSE != nil {
-		rep.Drift = ix.driftReportLocked()
+		ratio := driftRatio(st.driftEWMA, ix.baselineMSE)
+		rep.Drift = &diag.DriftReport{
+			Ratio:           ratio,
+			AlertRatio:      ix.cfg.DriftAlertRatio,
+			Alert:           ix.cfg.DriftAlertRatio > 0 && ratio > ix.cfg.DriftAlertRatio,
+			SubspaceMSEEWMA: append([]float64(nil), st.driftEWMA...),
+			BaselineMSE:     append([]float64(nil), ix.baselineMSE...),
+		}
 	}
 	rep.SLO = ix.metrics.SLOSnapshot()
 	return rep
-}
-
-// driftReportLocked snapshots the EWMA drift state for a report. Callers
-// hold at least ix.mu.RLock.
-func (ix *Index) driftReportLocked() *diag.DriftReport {
-	ratio := driftRatio(ix.driftEWMA, ix.baselineMSE)
-	return &diag.DriftReport{
-		Ratio:           ratio,
-		AlertRatio:      ix.cfg.DriftAlertRatio,
-		Alert:           ix.cfg.DriftAlertRatio > 0 && ratio > ix.cfg.DriftAlertRatio,
-		SubspaceMSEEWMA: append([]float64(nil), ix.driftEWMA...),
-		BaselineMSE:     append([]float64(nil), ix.baselineMSE...),
-	}
 }
 
 // driftRatio is total EWMA MSE over total baseline MSE (1 = no drift). A
@@ -116,10 +103,11 @@ func driftRatio(ewma, baseline []float64) float64 {
 	return e / b
 }
 
-// initDiagnostics computes the Build-time baseline report and seeds the
-// drift estimator and the registry's drift gauges from it. Called once at
-// the end of Build with the projected dataset still on hand.
-func (ix *Index) initDiagnostics(rep *diag.Report) {
+// initDiagnostics installs the Build-time baseline report and seeds the
+// drift estimator (returned: it belongs to the first state) and the
+// registry's drift gauges from it. Called once at the end of Build with
+// the projected dataset still on hand.
+func (ix *Index) initDiagnostics(rep *diag.Report) (driftEWMA []float64) {
 	rep.GeneratedAt = time.Now()
 	rep.MSESource = diag.MSEFresh
 	ix.baseline = rep
@@ -127,53 +115,52 @@ func (ix *Index) initDiagnostics(rep *diag.Report) {
 	for s := range rep.Subspaces {
 		ix.baselineMSE[s] = rep.Subspaces[s].MSE
 	}
-	ix.driftEWMA = append([]float64(nil), ix.baselineMSE...)
-	ix.metrics.SetSubspaceMSE(ix.driftEWMA)
+	driftEWMA = append([]float64(nil), ix.baselineMSE...)
+	ix.metrics.SetSubspaceMSE(driftEWMA)
 	ix.metrics.SetDrift(1, false)
 	ix.metrics.SetDeadCodewords(uint64(rep.DeadCodewordsTotal))
+	return driftEWMA
 }
 
-// driftSourceLocked returns the vaq.drift alert latch, creating it on
-// first use: on the metrics alert bus when the index has a registry (so
-// drift edges reach bus subscribers like the flight recorder), standalone
-// otherwise (the latch — and its slog event — must keep working under
-// DisableMetrics). Callers hold ix.mu.Lock; only foldDriftLocked touches
-// ix.driftSrc, so the lazy write is single-threaded.
-func (ix *Index) driftSourceLocked() *alert.Source {
+// foldDrift folds one Add batch's per-subspace squared reconstruction
+// error into the EWMA drift estimator and returns the successor estimate
+// (prev is left untouched). It refreshes the registry gauges and emits the
+// vaq.drift slog event when the ratio first crosses Config.DriftAlertRatio
+// (the edge latch lives on the alert bus, so the crossing also reaches bus
+// subscribers and re-arms on recovery). codes is the grown code set, for
+// the dead-codeword count. Callers hold ix.writeMu, which also makes the
+// lazy creation of ix.driftSrc single-threaded.
+func (ix *Index) foldDrift(prev, batchSqErr []float64, batch int, codes *quantizer.Codes) []float64 {
+	alpha := float64(batch) / (float64(batch) + driftEWMAWindow)
+	ewma := make([]float64, len(prev))
+	for s := range ewma {
+		ewma[s] = (1-alpha)*prev[s] + alpha*batchSqErr[s]/float64(batch)
+	}
+	ratio := driftRatio(ewma, ix.baselineMSE)
+	alerting := ix.cfg.DriftAlertRatio > 0 && ratio > ix.cfg.DriftAlertRatio
+	dead := countDeadCodewords(ix.cb, codes)
+	ix.metrics.SetSubspaceMSE(ewma)
+	ix.metrics.SetDrift(ratio, alerting)
+	ix.metrics.SetDeadCodewords(uint64(dead))
 	if ix.driftSrc == nil {
+		// On the metrics alert bus when the index has a registry (so drift
+		// edges reach bus subscribers like the flight recorder), standalone
+		// otherwise (the latch — and its slog event — must keep working
+		// under DisableMetrics).
 		if b := ix.metrics.Alerts(); b != nil {
 			ix.driftSrc = b.Source("vaq.drift")
 		} else {
 			ix.driftSrc = alert.NewSource("vaq.drift")
 		}
 	}
-	return ix.driftSrc
-}
-
-// foldDriftLocked folds one Add batch's per-subspace squared
-// reconstruction error into the EWMA drift estimator, refreshes the
-// registry gauges, and emits the vaq.drift slog event when the ratio
-// first crosses Config.DriftAlertRatio (the edge latch lives on the alert
-// bus, so the crossing also reaches bus subscribers and re-arms on
-// recovery). Callers hold ix.mu.Lock.
-func (ix *Index) foldDriftLocked(batchSqErr []float64, batch int) {
-	alpha := float64(batch) / (float64(batch) + driftEWMAWindow)
-	for s := range ix.driftEWMA {
-		ix.driftEWMA[s] = (1-alpha)*ix.driftEWMA[s] + alpha*batchSqErr[s]/float64(batch)
-	}
-	ratio := driftRatio(ix.driftEWMA, ix.baselineMSE)
-	alerting := ix.cfg.DriftAlertRatio > 0 && ratio > ix.cfg.DriftAlertRatio
-	dead := countDeadCodewords(ix.cb, ix.codes)
-	ix.metrics.SetSubspaceMSE(ix.driftEWMA)
-	ix.metrics.SetDrift(ratio, alerting)
-	ix.metrics.SetDeadCodewords(uint64(dead))
-	if ix.driftSourceLocked().Set(alerting) && ix.cfg.Logger != nil {
+	if ix.driftSrc.Set(alerting) && ix.cfg.Logger != nil {
 		ix.cfg.Logger.Warn("vaq.drift",
 			slog.Float64("ratio", ratio),
 			slog.Float64("alert_ratio", ix.cfg.DriftAlertRatio),
-			slog.Int("n", ix.n),
+			slog.Int("n", codes.N),
 			slog.Int("dead_codewords", dead))
 	}
+	return ewma
 }
 
 // sloBreach is the metrics.BreachFunc Build installs for Config.SLO: one
@@ -192,9 +179,9 @@ func (ix *Index) sloBreach(kind string, remaining, burn float64) {
 }
 
 // countDeadCodewords counts dictionary entries no code references, summed
-// over subspaces. One pass over the codes; Add calls it after each batch
-// (Add already pays an O(n·m) blocked-layout rebuild, so this does not
-// change its complexity).
+// over subspaces. One pass over the codes; Add calls it while preparing
+// each batch (beside the O(n·m) scan-store rebuild, so it does not change
+// Add's complexity).
 func countDeadCodewords(cb *quantizer.Codebooks, codes *quantizer.Codes) int {
 	m := cb.Sub.M()
 	used := make([][]bool, m)

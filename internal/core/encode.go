@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"vaq/internal/kmeans"
 	"vaq/internal/quantizer"
 	"vaq/internal/vec"
 )
@@ -92,16 +93,11 @@ func buildTIIndex(cb *quantizer.Codebooks, codes *quantizer.Codes, clusterCount,
 			buf := make([]float32, prefixDim)
 			for i := lo; i < hi; i++ {
 				decodePrefix(cb, codes.Row(i), prefixSubspaces, buf)
-				best, bestD := 0, vec.SquaredL2(buf, ti.centroids.Row(0))
-				for c := 1; c < clusterCount; c++ {
-					d := vec.SquaredL2(buf, ti.centroids.Row(c))
-					if d < bestD {
-						bestD = d
-						best = c
-					}
-				}
-				assign[i] = best
-				dists[i] = float32(math.Sqrt(float64(bestD)))
+				// TI centroids keep their sampled order (their ids show in
+				// traces and in the serialized index): the linear form.
+				c, distSq := kmeans.Nearest(ti.centroids, buf)
+				assign[i] = c
+				dists[i] = float32(math.Sqrt(float64(distSq)))
 			}
 		}(lo, hi)
 	}

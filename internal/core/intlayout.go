@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"time"
@@ -123,26 +124,23 @@ type fastStore struct {
 // coarsenBook trains the 256-entry scan dictionary for one wide subspace
 // and the canonical-code remap onto it. The codewords are clustered
 // unweighted — they already sit where the data is dense — and the remap
-// assigns every codeword to its nearest coarse centroid, so the scan
-// distance of a code is the distance to the centroid standing in for its
-// codeword.
+// is the training run's own final assignment: every codeword goes to its
+// nearest coarse centroid, so the scan distance of a code is the distance
+// to the centroid standing in for its codeword.
 func coarsenBook(book *vec.Matrix, seed int64) (*vec.Matrix, []uint8) {
 	res, err := kmeans.Train(book, kmeans.Config{
 		K: coarseEntries, MaxIter: coarseIters, Seed: seed, Parallel: true,
 	})
-	centroids := (*vec.Matrix)(nil)
-	if err == nil {
-		centroids = res.Centroids
-	} else {
-		// Unreachable with K >= 1 and a non-empty book, but degrade to the
-		// first coarseEntries codewords rather than fail the build.
-		centroids = book.SliceRows(0, coarseEntries)
+	if err != nil {
+		// Train refuses only K < 1 or an empty input; callers pass books
+		// of more than coarseEntries rows.
+		panic(fmt.Sprintf("core: coarsening a %d-entry dictionary: %v", book.Rows, err))
 	}
 	remap := make([]uint8, book.Rows)
-	for i := 0; i < book.Rows; i++ {
-		remap[i] = uint8(kmeans.AssignNearest(centroids, book.Row(i)))
+	for i, c := range res.Assign {
+		remap[i] = uint8(c)
 	}
-	return centroids, remap
+	return res.Centroids, remap
 }
 
 // buildFastStore derives the integer scan store from the canonical codes
@@ -627,7 +625,7 @@ func (fs *fastStore) eaResumeLaneFast(dist []uint32, acc uint32, sI, blk, lane, 
 // dequantized per-lane totals feed the float top-k heap, whose final
 // contents the exact re-rank pass (rerankFast) rescores.
 func (s *Searcher) scanHeapFast() {
-	fs := s.ix.fast
+	fs := s.st.fast
 	il := &s.ilut
 	dist := il.dist
 	useSub := fs.m
@@ -649,8 +647,8 @@ func (s *Searcher) scanHeapFast() {
 			}
 		}
 	}
-	s.stats.CodesConsidered = s.ix.codes.N
-	s.stats.Lookups = s.ix.codes.N * useSub
+	s.stats.CodesConsidered = s.st.codes.N
+	s.stats.Lookups = s.st.codes.N * useSub
 }
 
 // scanTIEAFast is the TI+EA cascade in the integer domain, with the
@@ -673,8 +671,8 @@ func (s *Searcher) scanHeapFast() {
 // re-rank pass.
 func (s *Searcher) scanTIEAFast(qz []float32, visitFrac float64) {
 	ix := s.ix
-	ti := ix.ti
-	fs := ix.fast
+	ti := s.st.ti
+	fs := s.st.fast
 	il := &s.ilut
 	dist := il.dist
 	useSub := fs.m
@@ -878,8 +876,8 @@ type pushCand struct {
 // drop comparison and are rescored.
 func (s *Searcher) rerankFast(qz []float32) {
 	ix := s.ix
-	fs := ix.fast
-	codes := ix.codes
+	fs := s.st.fast
+	codes := s.st.codes
 	m := fs.m
 	flat := fs.rerFlat
 	base := fs.rerBase

@@ -18,12 +18,13 @@ import (
 // packed nibbles, and every padding lane of a tail block holds code 0.
 func verifyFastStore(t *testing.T, ix *Index) {
 	t.Helper()
-	fs := ix.fast
+	st := ix.state.Load()
+	fs := st.fast
 	if fs == nil {
 		t.Fatal("index has no fast store")
 	}
-	seen := make([]bool, ix.n)
-	for c, members := range ix.ti.clusters {
+	seen := make([]bool, st.n)
+	for c, members := range st.ti.clusters {
 		cStart := int(fs.start[c])
 		if int(fs.start[c+1])-cStart != len(members) {
 			t.Fatalf("cluster %d: fast span %d, members %d", c, int(fs.start[c+1])-cStart, len(members))
@@ -41,7 +42,7 @@ func verifyFastStore(t *testing.T, ix *Index) {
 				t.Fatalf("id %d appears twice in fast store", e.id)
 			}
 			seen[e.id] = true
-			row := ix.codes.Row(e.id)
+			row := st.codes.Row(e.id)
 			blk := base + mi/blockLanes
 			lane := mi % blockLanes
 			for s := 0; s < fs.m; s++ {
@@ -88,7 +89,7 @@ func TestFastStoreMatchesCanonicalCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := ix.fast
+	fs := ix.state.Load().fast
 	if fs.nP == 0 {
 		t.Fatal("expected packed 4-bit subspaces under a 30-bit budget")
 	}
@@ -111,7 +112,7 @@ func TestFastStorePackFallbackOver16Entries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := ix.fast
+	fs := ix.state.Load().fast
 	if fs.nP != 0 {
 		t.Fatalf("%d subspaces packed despite >16-entry dictionaries", fs.nP)
 	}
@@ -139,7 +140,7 @@ func TestFastStoreWideCodesCoarsen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := ix.fast
+	fs := ix.state.Load().fast
 	if fs.coarsenedSubspaces() == 0 {
 		t.Fatal("expected coarsened subspaces under MinBits=9")
 	}
@@ -157,7 +158,7 @@ func TestFastStoreWideCodesCoarsen(t *testing.T) {
 				t.Fatalf("subspace %d: remap covers %d codes, want %d", s, len(rm), book.Rows)
 			}
 			for c := 0; c < book.Rows; c++ {
-				if want := kmeans.AssignNearest(fs.books[s], book.Row(c)); int(rm[c]) != want {
+				if want, _ := kmeans.Nearest(fs.books[s], book.Row(c)); int(rm[c]) != want {
 					t.Fatalf("subspace %d code %d: remap %d, nearest coarse centroid %d", s, c, rm[c], want)
 				}
 			}
@@ -174,10 +175,10 @@ func TestFastStoreWideCodesCoarsen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range books {
-		if ix.fast.books[s] != books[s] {
+		if ix.state.Load().fast.books[s] != books[s] {
 			t.Fatalf("subspace %d: Add retrained the coarse dictionary", s)
 		}
-		if len(remaps[s]) > 0 && &ix.fast.remap[s][0] != &remaps[s][0] {
+		if len(remaps[s]) > 0 && &ix.state.Load().fast.remap[s][0] != &remaps[s][0] {
 			t.Fatalf("subspace %d: Add rebuilt the remap", s)
 		}
 	}
@@ -200,8 +201,8 @@ func TestFastStoreRebuiltAfterAdd(t *testing.T) {
 	if _, err := ix.Add(extra); err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.fast.perm) != 930 {
-		t.Fatalf("fast store not rebuilt after Add: %d positions, want 930", len(ix.fast.perm))
+	if len(ix.state.Load().fast.perm) != 930 {
+		t.Fatalf("fast store not rebuilt after Add: %d positions, want 930", len(ix.state.Load().fast.perm))
 	}
 	verifyFastStore(t, ix)
 	if res, err := ix.Search(x.Row(5), 10); err != nil || len(res) != 10 {
@@ -362,7 +363,7 @@ func TestFastKernelRecallAgainstExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tc.name == "coarsened" && fast.fast.coarsenedSubspaces() == 0 {
+		if tc.name == "coarsened" && fast.state.Load().fast.coarsenedSubspaces() == 0 {
 			t.Fatal("coarsened case trained no coarse dictionaries")
 		}
 		qs := layoutQuerySet(rng, x, 20)
@@ -463,7 +464,7 @@ func TestSetAccuracyModeAndSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.fast == nil {
+	if ix.state.Load().fast == nil {
 		t.Fatal("AccuracyFast build left no fast store")
 	}
 	var buf bytes.Buffer
@@ -474,14 +475,14 @@ func TestSetAccuracyModeAndSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Accuracy() != AccuracyExact || loaded.fast != nil {
+	if loaded.Accuracy() != AccuracyExact || loaded.state.Load().fast != nil {
 		t.Fatalf("loaded index: accuracy %v fast=%v, want exact/nil (mode is runtime-only)",
-			loaded.Accuracy(), loaded.fast != nil)
+			loaded.Accuracy(), loaded.state.Load().fast != nil)
 	}
 	if err := loaded.SetAccuracyMode(AccuracyFast); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Accuracy() != AccuracyFast || loaded.fast == nil {
+	if loaded.Accuracy() != AccuracyFast || loaded.state.Load().fast == nil {
 		t.Fatal("SetAccuracyMode(fast) did not build the store")
 	}
 	verifyFastStore(t, loaded)
@@ -491,7 +492,7 @@ func TestSetAccuracyModeAndSerializeRoundTrip(t *testing.T) {
 	if err := loaded.SetAccuracyMode(AccuracyExact); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.fast != nil {
+	if loaded.state.Load().fast != nil {
 		t.Fatal("SetAccuracyMode(exact) kept the store")
 	}
 	if err := loaded.SetAccuracyMode(AccuracyMode(9)); err == nil {

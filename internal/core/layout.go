@@ -264,7 +264,7 @@ func (bs *blockedStore) eaResumeLaneNarrow(dist []float32, offsets []int, d floa
 // accumulation into per-lane partial sums. Per-lane addition order is the
 // subspace order, matching scanHeap's float association exactly.
 func (s *Searcher) scanHeapBlocked(useSub int) {
-	bs := s.ix.blocked
+	bs := s.st.blocked
 	dist, offsets := s.lut.Dist, s.lut.Offsets
 	var acc [blockLanes]float32
 	for c := 0; c+1 < len(bs.start); c++ {
@@ -321,8 +321,8 @@ func (s *Searcher) scanHeapBlocked(useSub int) {
 			}
 		}
 	}
-	s.stats.CodesConsidered = s.ix.codes.N
-	s.stats.Lookups = s.ix.codes.N * useSub
+	s.stats.CodesConsidered = s.st.codes.N
+	s.stats.Lookups = s.st.codes.N * useSub
 }
 
 // scanTIEABlocked is scanTIEA over the blocked layout: the visited
@@ -339,8 +339,8 @@ func (s *Searcher) scanHeapBlocked(useSub int) {
 // algorithmic work of the canonical scan.
 func (s *Searcher) scanTIEABlocked(qz []float32, visitFrac float64, useSub int) {
 	ix := s.ix
-	ti := ix.ti
-	bs := ix.blocked
+	ti := s.st.ti
+	bs := s.st.blocked
 	dist, offsets := s.lut.Dist, s.lut.Offsets
 	check := ix.cfg.EACheckEvery
 	rec := s.rec

@@ -76,10 +76,10 @@ func TestScanLayoutEquivalence(t *testing.T) {
 	blocked, rowmajor := buildBothLayouts(t, x, Config{
 		NumSubspaces: 8, Budget: 56, Seed: 311, TIClusters: 40,
 	})
-	if blocked.blocked == nil {
+	if blocked.state.Load().blocked == nil {
 		t.Fatal("blocked layout index did not build its blocked store")
 	}
-	if rowmajor.blocked != nil {
+	if rowmajor.state.Load().blocked != nil {
 		t.Fatal("rowmajor layout index built a blocked store")
 	}
 	qs := layoutQuerySet(rng, x, 12)
@@ -108,7 +108,7 @@ func TestScanLayoutEquivalenceWideCodes(t *testing.T) {
 		NumSubspaces: 4, Budget: 38, MinBits: 9, MaxBits: 10,
 		Seed: 313, TIClusters: 20, KMeansIters: 8,
 	})
-	bs := blocked.blocked
+	bs := blocked.state.Load().blocked
 	if bs.mW == 0 {
 		t.Fatal("expected at least one wide (uint16) subspace under MinBits=9")
 	}
@@ -136,7 +136,7 @@ func TestScanLayoutEquivalenceAfterAdd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := blocked.blocked.perm; len(got) != 1500 {
+	if got := blocked.state.Load().blocked.perm; len(got) != 1500 {
 		t.Fatalf("blocked store not rebuilt after Add: %d positions, want 1500", len(got))
 	}
 	qs := layoutQuerySet(rng, x, 8)
@@ -160,9 +160,10 @@ func TestBlockedStoreMatchesCanonicalCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := ix.blocked
-	seen := make([]bool, ix.n)
-	for c, members := range ix.ti.clusters {
+	st := ix.state.Load()
+	bs := st.blocked
+	seen := make([]bool, st.n)
+	for c, members := range st.ti.clusters {
 		cStart := int(bs.start[c])
 		if int(bs.start[c+1])-cStart != len(members) {
 			t.Fatalf("cluster %d: blocked span %d, members %d", c, int(bs.start[c+1])-cStart, len(members))
@@ -176,7 +177,7 @@ func TestBlockedStoreMatchesCanonicalCodes(t *testing.T) {
 				t.Fatalf("id %d appears twice in blocked store", e.id)
 			}
 			seen[e.id] = true
-			row := ix.codes.Row(e.id)
+			row := st.codes.Row(e.id)
 			blockStart := mi &^ (blockLanes - 1)
 			cnt := len(members) - blockStart
 			if cnt > blockLanes {
@@ -229,7 +230,7 @@ func TestSerializeLayoutRoundTripAndLegacy(t *testing.T) {
 		if loaded.Layout() != layout {
 			t.Fatalf("round trip: layout %v, want %v", loaded.Layout(), layout)
 		}
-		if (loaded.blocked != nil) != (layout == LayoutBlocked) {
+		if (loaded.state.Load().blocked != nil) != (layout == LayoutBlocked) {
 			t.Fatalf("layout %v: blocked store presence wrong after load", layout)
 		}
 		want, err := ix.SearchWith(q, 5, SearchOptions{})
@@ -252,7 +253,7 @@ func TestSerializeLayoutRoundTripAndLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var legacy bytes.Buffer
-	if err := ix.writeBody(&legacy, 1); err != nil {
+	if err := ix.writeBody(&legacy, 1, ix.state.Load()); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Read(&legacy)
@@ -262,7 +263,7 @@ func TestSerializeLayoutRoundTripAndLegacy(t *testing.T) {
 	if loaded.Layout() != LayoutBlocked {
 		t.Fatalf("v1 load: layout %v, want default LayoutBlocked", loaded.Layout())
 	}
-	if loaded.blocked == nil {
+	if loaded.state.Load().blocked == nil {
 		t.Fatal("v1 load: blocked store not rebuilt")
 	}
 	want, err := ix.SearchWith(q, 5, SearchOptions{})

@@ -308,9 +308,9 @@ func TestRecallSamplingCoversAdd(t *testing.T) {
 	if _, err := ix.Add(extra); err != nil {
 		t.Fatal(err)
 	}
-	if ix.retained.Rows != ix.n {
+	if st := ix.state.Load(); st.retained.Rows != st.n {
 		t.Fatalf("retained %d rows, index has %d — the shadow scan would miss Add'd ids",
-			ix.retained.Rows, ix.n)
+			st.retained.Rows, st.n)
 	}
 	s := ix.NewSearcher()
 	for i := 0; i < 5; i++ {

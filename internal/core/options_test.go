@@ -75,8 +75,8 @@ func TestTIPrefixSubspacesExactness(t *testing.T) {
 		}
 	}
 	// The prefix must actually be shorter than the full dimensionality.
-	if ix.ti.prefixDim >= 24 {
-		t.Fatalf("prefix dim %d should be < 24", ix.ti.prefixDim)
+	if ix.state.Load().ti.prefixDim >= 24 {
+		t.Fatalf("prefix dim %d should be < 24", ix.state.Load().ti.prefixDim)
 	}
 }
 

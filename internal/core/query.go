@@ -132,7 +132,10 @@ func (st *SearchStats) recordCopy() metrics.SearchRecord {
 // allocate per query. Not safe for concurrent use; create one per
 // goroutine via NewSearcher.
 type Searcher struct {
-	ix   *Index
+	ix *Index
+	// st is the index state the running query loaded; nil between queries,
+	// so an idle (pooled) Searcher does not keep a superseded state alive.
+	st   *state
 	lut  *quantizer.LUT
 	flut []float32 // float tables over the fast store's scan dictionaries
 	ilut intLUT    // uint8 quantization of flut; filled only for fast scans
@@ -226,10 +229,9 @@ func (s *Searcher) SearchProjected(qz []float32, k int, opt SearchOptions) ([]ve
 
 func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	ix := s.ix
-	// Queries read codes/ti/blocked/retained, which Add mutates in place
-	// under the write lock; uncontended RLock is noise next to the scan.
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	// One load: the whole query runs on this state, whatever Add publishes
+	// meanwhile.
+	s.st = ix.state.Load()
 	rec := s.rec
 	pc := ix.profCtx.Load()
 	wcap := ix.capture.Load()
@@ -260,7 +262,7 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	// distances would need their own delta/scale) and ModeEA's contract is
 	// original-id scan order over the canonical codes — both fall back to
 	// the exact kernels.
-	fast := ix.fast != nil && useSub == mSub && mode != ModeEA
+	fast := s.st.fast != nil && useSub == mSub && mode != ModeEA
 	// Build or refill the lookup tables (Algorithm 4 lines 5-13). The fast
 	// path fills the (much smaller) tables over the integer store's scan
 	// dictionaries and quantizes those; the full-dictionary LUT is neither
@@ -270,7 +272,7 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	}
 	lutStart := rec.Clock()
 	if fast {
-		s.flut = ix.fast.fillFloatLUT(qz, s.flut)
+		s.flut = s.st.fast.fillFloatLUT(qz, s.flut)
 	} else if s.lut == nil {
 		s.lut = ix.cb.BuildLUT(qz)
 	} else {
@@ -300,7 +302,7 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	}
 	if fast {
 		quantStart := rec.Clock()
-		s.ilut.quantize(s.flut, ix.fast.offsets, mSub)
+		s.ilut.quantize(s.flut, s.st.fast.offsets, mSub)
 		s.pushed = s.pushed[:0]
 		if rec.Active() {
 			rec.Add(trace.Span{Name: trace.SpanLUTQuant, Start: quantStart, Dur: rec.Clock() - quantStart})
@@ -314,7 +316,7 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	case ModeHeap:
 		if fast {
 			s.scanHeapFast()
-		} else if ix.blocked != nil {
+		} else if s.st.blocked != nil {
 			s.scanHeapBlocked(useSub)
 		} else {
 			s.scanHeap(useSub)
@@ -328,7 +330,7 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	default:
 		if fast {
 			s.scanTIEAFast(qz, opt.VisitFrac)
-		} else if ix.blocked != nil {
+		} else if s.st.blocked != nil {
 			s.scanTIEABlocked(qz, opt.VisitFrac, useSub)
 		} else {
 			s.scanTIEA(qz, opt.VisitFrac, useSub)
@@ -378,6 +380,7 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	if pc != nil {
 		pprof.SetGoroutineLabels(pc.clear)
 	}
+	s.st = nil
 	return res
 }
 
@@ -386,7 +389,7 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 // L2 in the projected space ranks identically to the raw space; the hit
 // count folds into the registry's online recall estimate.
 func (s *Searcher) shadowRecallSample(qz []float32, k int, approx []vec.Neighbor) {
-	data := s.ix.retained
+	data := s.st.retained
 	if data == nil {
 		return
 	}
@@ -465,8 +468,7 @@ func eaAccumulate(dist []float32, offsets []int, row []uint16, useSub, check int
 // scanHeap is the no-pruning baseline: accumulate every subspace of every
 // code (Figure 7 "Heap").
 func (s *Searcher) scanHeap(useSub int) {
-	ix := s.ix
-	codes := ix.codes
+	codes := s.st.codes
 	lut := s.lut
 	m := codes.M
 	for i := 0; i < codes.N; i++ {
@@ -488,7 +490,7 @@ func (s *Searcher) scanHeap(useSub int) {
 // skipped.
 func (s *Searcher) scanEA(useSub int) {
 	ix := s.ix
-	codes := ix.codes
+	codes := s.st.codes
 	dist, offsets := s.lut.Dist, s.lut.Offsets
 	m := codes.M
 	check := ix.cfg.EACheckEvery
@@ -519,7 +521,7 @@ func (s *Searcher) scanEA(useSub int) {
 // ~(1-visitFrac)*TIClusters sqrt calls per query.
 func (s *Searcher) orderClusters(qz []float32, visitFrac float64) int {
 	ix := s.ix
-	ti := ix.ti
+	ti := s.st.ti
 	if visitFrac <= 0 {
 		visitFrac = ix.cfg.DefaultVisitFrac
 	}
@@ -674,8 +676,8 @@ func clusterDistLess(a, b int, d []float32) bool {
 // inequality, and early-abandon lookups for survivors.
 func (s *Searcher) scanTIEA(qz []float32, visitFrac float64, useSub int) {
 	ix := s.ix
-	ti := ix.ti
-	codes := ix.codes
+	ti := s.st.ti
+	codes := s.st.codes
 	dist, offsets := s.lut.Dist, s.lut.Offsets
 	m := codes.M
 	check := ix.cfg.EACheckEvery

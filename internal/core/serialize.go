@@ -33,25 +33,31 @@ import (
 // the blocked scan layout is a deterministic function of the codes and the
 // TI structure, so it is rebuilt on load rather than serialized. Version 1
 // predates ScanLayout: v1 streams still load and get the default layout.
+//
+// Codebooks are written in their in-memory row order, which since the
+// bounded encoder is ascending by first coordinate. The format does not
+// promise it: Read checks each book, and a stream whose books are in any
+// other order loads and answers identically, with Add encoding against
+// those books by linear scan.
 var magicIndex = [4]byte{'V', 'A', 'Q', 'I'}
 
 const indexVersion = 2
 
 // WriteTo serializes the index so it can be reloaded without retraining.
-// Safe to call concurrently with queries and Diagnose; it excludes Add.
+// Safe to call concurrently with queries, Diagnose and Add: it writes the
+// state published when it was called, whole.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	st := ix.state.Load()
 	start := time.Now()
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
-	err := ix.writeBody(bw, indexVersion)
+	err := ix.writeBody(bw, indexVersion, st)
 	if err == nil {
 		err = bw.Flush()
 	}
 	if err == nil && ix.cfg.Logger != nil {
 		ix.cfg.Logger.Info("vaq.serialize",
-			slog.Int("n", ix.n),
+			slog.Int("n", st.n),
 			slog.Int64("bytes", cw.n),
 			slog.Duration("total", time.Since(start)))
 	}
@@ -91,10 +97,10 @@ func readF64(r io.Reader) (float64, error) {
 	return math.Float64frombits(u), err
 }
 
-// writeBody emits the serialized index at the requested format version.
-// Version 1 (the pre-ScanLayout format) is kept writable so tests can
-// prove legacy streams still load.
-func (ix *Index) writeBody(w io.Writer, version uint64) error {
+// writeBody emits the serialized index, in state st, at the requested
+// format version. Version 1 (the pre-ScanLayout format) is kept writable so
+// tests can prove legacy streams still load.
+func (ix *Index) writeBody(w io.Writer, version uint64, st *state) error {
 	if _, err := w.Write(magicIndex[:]); err != nil {
 		return err
 	}
@@ -170,30 +176,30 @@ func (ix *Index) writeBody(w io.Writer, version uint64) error {
 		}
 	}
 	// Codes.
-	if err := writeU64(w, uint64(ix.codes.N)); err != nil {
+	if err := writeU64(w, uint64(st.codes.N)); err != nil {
 		return err
 	}
-	if err := writeU64(w, uint64(ix.codes.M)); err != nil {
+	if err := writeU64(w, uint64(st.codes.M)); err != nil {
 		return err
 	}
-	buf := make([]byte, 2*len(ix.codes.Data))
-	for i, c := range ix.codes.Data {
+	buf := make([]byte, 2*len(st.codes.Data))
+	for i, c := range st.codes.Data {
 		binary.LittleEndian.PutUint16(buf[2*i:], c)
 	}
 	if _, err := w.Write(buf); err != nil {
 		return err
 	}
 	// TI structure.
-	if err := writeU64(w, uint64(ix.ti.prefixSubspaces)); err != nil {
+	if err := writeU64(w, uint64(st.ti.prefixSubspaces)); err != nil {
 		return err
 	}
-	if _, err := ix.ti.centroids.WriteTo(w); err != nil {
+	if _, err := st.ti.centroids.WriteTo(w); err != nil {
 		return err
 	}
-	if err := writeU64(w, uint64(len(ix.ti.clusters))); err != nil {
+	if err := writeU64(w, uint64(len(st.ti.clusters))); err != nil {
 		return err
 	}
-	for _, members := range ix.ti.clusters {
+	for _, members := range st.ti.clusters {
 		if err := writeU64(w, uint64(len(members))); err != nil {
 			return err
 		}
@@ -232,7 +238,7 @@ func ReadLogged(r io.Reader, l *slog.Logger) (*Index, error) {
 	ix.cfg.Logger = l
 	if l != nil {
 		l.Info("vaq.read",
-			slog.Int("n", ix.n),
+			slog.Int("n", ix.Len()),
 			slog.Int("dim", ix.queryDim),
 			slog.Int("subspaces", ix.cb.Sub.M()),
 			slog.String("layout", ix.cfg.ScanLayout.String()),
@@ -357,7 +363,9 @@ func Read(r io.Reader) (*Index, error) {
 			return nil, fmt.Errorf("core: codebook %d: %w", i, err)
 		}
 	}
-	cb := &quantizer.Codebooks{Sub: sub, Bits: bits, Books: books}
+	// Checks each book's row order: books in canonical order get the
+	// bounded encoder, any other stream the linear scan.
+	cb := quantizer.NewCodebooks(sub, bits, books)
 	// Codes.
 	nU, err := readU64(br)
 	if err != nil {
@@ -433,17 +441,13 @@ func Read(r io.Reader) (*Index, error) {
 	if cfg.ScanLayout == LayoutBlocked {
 		blocked = buildBlockedStore(cb, codes, ti)
 	}
-	return &Index{
+	ix := &Index{
 		cfg:      cfg,
 		model:    model,
 		ratios:   ratios,
 		subVar:   subVar,
 		bits:     bits,
 		cb:       cb,
-		codes:    codes,
-		ti:       ti,
-		blocked:  blocked,
-		n:        n,
 		queryDim: int(queryDim),
 		// DisableMetrics is a runtime knob, not part of the on-disk
 		// format: loaded indexes always get a fresh registry (sized for
@@ -451,7 +455,9 @@ func Read(r io.Reader) (*Index, error) {
 		// The diagnostics baseline and drift state are runtime-only too:
 		// a loaded index Diagnoses as Partial until retrained.
 		metrics: metrics.NewSized(m+1, m),
-	}, nil
+	}
+	ix.state.Store(&state{n: n, codes: codes, ti: ti, blocked: blocked})
+	return ix, nil
 }
 
 // Save writes the index to a file.

@@ -34,12 +34,13 @@ func TestTriangleBoundIsLowerBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			lut := ix.cb.BuildLUT(qz)
-			clustD := ix.ti.queryClusterDistancesSq(qz, nil)
-			for c, members := range ix.ti.clusters {
+			st := ix.state.Load()
+			clustD := st.ti.queryClusterDistancesSq(qz, nil)
+			for c, members := range st.ti.clusters {
 				dq := math.Sqrt(float64(clustD[c]))
 				for _, e := range members {
 					bound := math.Abs(dq - float64(e.dist))
-					adc := float64(lut.Distance(ix.codes.Row(e.id)))
+					adc := float64(lut.Distance(st.codes.Row(e.id)))
 					if bound*bound > adc*(1+1e-4)+1e-4 {
 						t.Fatalf("prefix=%d cluster=%d id=%d: bound² %v exceeds ADC %v",
 							prefix, c, e.id, bound*bound, adc)
@@ -59,11 +60,12 @@ func TestCachedDistancesConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]float32, ix.ti.prefixDim)
-	for c, members := range ix.ti.clusters {
+	st := ix.state.Load()
+	buf := make([]float32, st.ti.prefixDim)
+	for c, members := range st.ti.clusters {
 		for _, e := range members {
-			decodePrefix(ix.cb, ix.codes.Row(e.id), ix.ti.prefixSubspaces, buf)
-			want := math.Sqrt(float64(vec.SquaredL2(buf, ix.ti.centroids.Row(c))))
+			decodePrefix(ix.cb, st.codes.Row(e.id), st.ti.prefixSubspaces, buf)
+			want := math.Sqrt(float64(vec.SquaredL2(buf, st.ti.centroids.Row(c))))
 			if math.Abs(want-float64(e.dist)) > 1e-4*(1+want) {
 				t.Fatalf("cluster %d id %d: cached %v, actual %v", c, e.id, e.dist, want)
 			}

@@ -66,6 +66,9 @@ func Train(train *vec.Matrix, cfg Config) (*Trained, error) {
 	if cfg.AccuracyMode == AccuracyFast && cfg.ScanLayout != LayoutBlocked {
 		return nil, errors.New("core: AccuracyFast requires LayoutBlocked")
 	}
+	if err := vec.CheckFinite(train); err != nil {
+		return nil, fmt.Errorf("core: train: %w", err)
+	}
 	var report metrics.BuildReport
 	trainStart := time.Now()
 
@@ -172,6 +175,10 @@ func (t *Trained) encodeIndex(data, dataZ *vec.Matrix) (*Index, error) {
 	encodeStart := time.Now()
 	var err error
 	if dataZ == nil {
+		// data is not the (already checked) training matrix.
+		if err := vec.CheckFinite(data); err != nil {
+			return nil, fmt.Errorf("core: data: %w", err)
+		}
 		dataZ, err = t.model.Project(data)
 		if err != nil {
 			return nil, err
@@ -237,23 +244,20 @@ func (t *Trained) encodeIndex(data, dataZ *vec.Matrix) (*Index, error) {
 		subVar:   t.subVar,
 		bits:     t.bits,
 		cb:       t.cb,
-		codes:    codes,
-		ti:       ti,
-		blocked:  blocked,
-		fast:     fast,
-		n:        data.Rows,
 		queryDim: t.queryDim,
 		metrics:  reg,
 		report:   report,
 	}
+	st := &state{n: data.Rows, codes: codes, ti: ti, blocked: blocked, fast: fast}
 	if cfg.RecallSampleRate > 0 {
-		ix.retained = dataZ
+		st.retained = dataZ
 		ix.recallEvery = sampleStride(cfg.RecallSampleRate)
 	}
 	if cfg.SLO != nil && reg != nil {
 		reg.ConfigureSLO(*cfg.SLO, ix.sloBreach)
 	}
-	ix.initDiagnostics(baseRep)
+	st.driftEWMA = ix.initDiagnostics(baseRep)
+	ix.state.Store(st)
 	ix.SetProfileLabel("vaq")
 	if cfg.Logger != nil {
 		cfg.Logger.Info("vaq.build",

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sync/atomic"
-
 	"sync"
+	"sync/atomic"
 
 	"vaq/internal/alert"
 	"vaq/internal/bundle"
@@ -158,14 +157,14 @@ type Index struct {
 	subVar   []float64 // per-subspace variance shares
 	bits     []int
 	cb       *quantizer.Codebooks
-	codes    *quantizer.Codes
-	ti       *tiIndex
-	blocked  *blockedStore // scan-optimized copy; nil under LayoutRowMajor
-	fast     *fastStore    // integer-kernel store; nil unless AccuracyFast
-	n        int
 	queryDim int
-	metrics  *metrics.IndexMetrics
-	report   metrics.BuildReport
+	// state is the published, immutable snapshot of everything a write
+	// changes (see state); writeMu serializes the writers that prepare its
+	// successors. Readers only ever Load.
+	state   atomic.Pointer[state]
+	writeMu sync.Mutex
+	metrics *metrics.IndexMetrics
+	report  metrics.BuildReport
 	// tracer, when set, hands every newly created Searcher a span
 	// recorder; atomic so EnableTracing is safe while queries are in
 	// flight (in-flight Searchers keep their current recorder).
@@ -182,25 +181,18 @@ type Index struct {
 	// for the same reason as tracer. Samples on its own goroutine — the
 	// query path never touches it.
 	hist atomic.Pointer[history.Collector]
-	// retained holds the projected dataset rows for the shadow-exact
-	// recall estimator (nil unless RecallSampleRate > 0); recallEvery is
-	// the sampling stride and recallCtr the query counter driving it.
-	retained    *vec.Matrix
+	// recallEvery is the shadow-exact recall estimator's sampling stride
+	// (0 = off; the retained rows it audits against live in state) and
+	// recallCtr the query counter driving it.
 	recallEvery uint64
 	recallCtr   atomic.Uint64
-	// mu orders index mutation against readers: Add holds the write lock;
-	// queries, Diagnose and WriteTo hold read locks. Uncontended RLock is
-	// tens of nanoseconds against queries hundreds of microseconds long.
-	mu sync.RWMutex
 	// baseline is the Build-time IndexReport (nil on loaded indexes — the
-	// diagnostics baseline is runtime-only, never serialized); baselineMSE
-	// its per-subspace MSE, driftEWMA the EWMA of incoming-vector MSE that
-	// Add folds against it, and driftSrc the vaq.drift edge latch (on the
+	// diagnostics baseline is runtime-only, never serialized), baselineMSE
+	// its per-subspace MSE, and driftSrc the vaq.drift edge latch (on the
 	// metrics alert bus when metrics are on, standalone otherwise; created
-	// lazily under the write lock by driftSourceLocked).
+	// lazily by foldDrift under writeMu).
 	baseline    *diag.Report
 	baselineMSE []float64
-	driftEWMA   []float64
 	driftSrc    *alert.Source
 	// profCtx holds precomputed pprof label sets (nil unless
 	// Config.ProfileLabels; see SetProfileLabel).
@@ -243,7 +235,7 @@ func sampleStride(rate float64) uint64 {
 }
 
 // Len reports the number of encoded vectors.
-func (ix *Index) Len() int { return ix.n }
+func (ix *Index) Len() int { return ix.state.Load().n }
 
 // Dim reports the expected query dimensionality.
 func (ix *Index) Dim() int { return ix.queryDim }
@@ -266,26 +258,32 @@ func (ix *Index) SubspaceVariances() []float64 {
 func (ix *Index) Codebooks() *quantizer.Codebooks { return ix.cb }
 
 // Codes exposes the encoded dataset (read-only use).
-func (ix *Index) Codes() *quantizer.Codes { return ix.codes }
+func (ix *Index) Codes() *quantizer.Codes { return ix.state.Load().codes }
 
 // CodeBytes reports the packed size of the encoded dataset in bytes.
-func (ix *Index) CodeBytes() int { return ix.codes.Bytes(ix.bits) }
+func (ix *Index) CodeBytes() int { return ix.state.Load().codes.Bytes(ix.bits) }
 
 // TIClusterCount reports how many triangle-inequality clusters were built.
-func (ix *Index) TIClusterCount() int { return len(ix.ti.clusters) }
+func (ix *Index) TIClusterCount() int { return len(ix.state.Load().ti.clusters) }
 
 // Layout reports the physical scan layout the query kernels use.
 func (ix *Index) Layout() ScanLayout { return ix.cfg.ScanLayout }
 
 // Accuracy reports the scan arithmetic mode the query kernels use.
-func (ix *Index) Accuracy() AccuracyMode { return ix.cfg.AccuracyMode }
+func (ix *Index) Accuracy() AccuracyMode {
+	if ix.state.Load().fast != nil {
+		return AccuracyFast
+	}
+	return AccuracyExact
+}
 
 // SetAccuracyMode switches the scan arithmetic at runtime — the opt-in
 // hook for loaded indexes, whose on-disk format carries no accuracy mode
 // (the integer store is derived, never serialized). Switching to
 // AccuracyFast builds the store from the canonical codes; switching back
-// to AccuracyExact drops it. Takes the write lock: in-flight queries
-// finish on the mode they started with.
+// to AccuracyExact drops it. A writer like Add: the store is built beside
+// the live state and published whole, and in-flight queries finish on the
+// mode they started with.
 func (ix *Index) SetAccuracyMode(mode AccuracyMode) error {
 	if mode != AccuracyExact && mode != AccuracyFast {
 		return fmt.Errorf("core: unknown AccuracyMode %d", mode)
@@ -293,16 +291,15 @@ func (ix *Index) SetAccuracyMode(mode AccuracyMode) error {
 	if mode == AccuracyFast && ix.cfg.ScanLayout != LayoutBlocked {
 		return errors.New("core: AccuracyFast requires LayoutBlocked")
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.cfg.AccuracyMode = mode
-	if mode == AccuracyFast {
-		if ix.fast == nil {
-			ix.fast = buildFastStore(ix.cb, ix.codes, ix.ti, ix.cfg.Seed, nil)
-		}
-	} else {
-		ix.fast = nil
+	ix.writeMu.Lock()
+	defer ix.writeMu.Unlock()
+	next := *ix.state.Load()
+	if mode == AccuracyExact {
+		next.fast = nil
+	} else if next.fast == nil {
+		next.fast = buildFastStore(ix.cb, next.codes, next.ti, ix.cfg.Seed, nil)
 	}
+	ix.state.Store(&next)
 	return nil
 }
 
@@ -342,12 +339,7 @@ func (ix *Index) SetLogger(l *slog.Logger) { ix.cfg.Logger = l }
 // RecallSampling reports the effective shadow-exact sampling stride: every
 // n-th query is verified (0 = sampling disabled — never configured, or the
 // index was loaded from disk, which drops the retained vectors).
-func (ix *Index) RecallSampling() (everyNth uint64) {
-	if ix.retained == nil {
-		return 0
-	}
-	return ix.recallEvery
-}
+func (ix *Index) RecallSampling() (everyNth uint64) { return ix.recallEvery }
 
 // ProjectQuery rotates a raw query into the index's PCA space. Exposed for
 // benchmarks that amortize projection across search modes.

@@ -58,8 +58,8 @@ func (ix *Index) ConfigFingerprint() string {
 		Seed:              ix.cfg.Seed,
 		Layout:            ix.cfg.ScanLayout.String(),
 	}
-	if ix.cfg.AccuracyMode != AccuracyExact {
-		fp.Accuracy = ix.cfg.AccuracyMode.String()
+	if mode := ix.Accuracy(); mode != AccuracyExact {
+		fp.Accuracy = mode.String()
 	}
 	blob, err := json.Marshal(fp)
 	if err != nil {

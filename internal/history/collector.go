@@ -231,8 +231,11 @@ func (c *Collector) run() {
 			return
 		case <-c.kick:
 			c.sampleAll(time.Now())
-		case now := <-ticker.C:
-			c.sampleAll(now)
+		case <-ticker.C:
+			// Not the tick's own time: a tick can wait in the channel while
+			// a kick is sampled, and would then file an older timestamp
+			// after a newer one.
+			c.sampleAll(time.Now())
 		}
 	}
 }

@@ -90,8 +90,8 @@ func Build(train, data *vec.Matrix, cfg Config) (*Index, error) {
 	}
 	// Coarse cell assignment.
 	for i := 0; i < data.Rows; i++ {
-		c0 := kmeans.AssignNearest(ix.books[0], halves[0].Row(i))
-		c1 := kmeans.AssignNearest(ix.books[1], halves[1].Row(i))
+		c0, _ := kmeans.Nearest(ix.books[0], halves[0].Row(i))
+		c1, _ := kmeans.Nearest(ix.books[1], halves[1].Row(i))
 		key := uint32(c0)<<16 | uint32(c1)
 		ix.cells[key] = append(ix.cells[key], int32(i))
 	}

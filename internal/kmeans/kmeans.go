@@ -73,6 +73,14 @@ func (c *Config) withDefaults() Config {
 
 // Train runs k-means on x.
 func Train(x *vec.Matrix, cfg Config) (*Result, error) {
+	return train(x, cfg, assignAll)
+}
+
+// assignFunc is assignAll's signature; tests pass a linear-scan reference
+// through train to pin the bounded search to it.
+type assignFunc func(x, centroids *vec.Matrix, assign []int, dists []float32, parallel bool) float64
+
+func train(x *vec.Matrix, cfg Config, assignAll assignFunc) (*Result, error) {
 	c := cfg.withDefaults()
 	if c.K < 1 {
 		return nil, fmt.Errorf("kmeans: K must be >= 1, got %d", c.K)
@@ -81,12 +89,12 @@ func Train(x *vec.Matrix, cfg Config) (*Result, error) {
 		return nil, errors.New("kmeans: empty training set")
 	}
 	if c.HierarchicalThreshold > 0 && c.K > c.HierarchicalThreshold {
-		return trainHierarchical(x, c)
+		return trainHierarchical(x, c, assignAll)
 	}
-	return trainFlat(x, c)
+	return trainFlat(x, c, assignAll)
 }
 
-func trainFlat(x *vec.Matrix, c Config) (*Result, error) {
+func trainFlat(x *vec.Matrix, c Config, assignAll assignFunc) (*Result, error) {
 	n, d := x.Rows, x.Cols
 	k := c.K
 	if k > n {
@@ -187,6 +195,7 @@ func seedPlusPlus(x *vec.Matrix, k int, rng *rand.Rand) *vec.Matrix {
 // and dists, and returns the total inertia.
 func assignAll(x *vec.Matrix, centroids *vec.Matrix, assign []int, dists []float32, parallel bool) float64 {
 	n := x.Rows
+	view := newSortedView(centroids)
 	workers := 1
 	if parallel {
 		workers = runtime.GOMAXPROCS(0)
@@ -195,7 +204,7 @@ func assignAll(x *vec.Matrix, centroids *vec.Matrix, assign []int, dists []float
 		}
 	}
 	if workers <= 1 {
-		return assignRange(x, centroids, assign, dists, 0, n)
+		return assignRange(x, view, assign, dists, 0, n)
 	}
 	var wg sync.WaitGroup
 	partial := make([]float64, workers)
@@ -212,7 +221,7 @@ func assignAll(x *vec.Matrix, centroids *vec.Matrix, assign []int, dists []float
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			partial[w] = assignRange(x, centroids, assign, dists, lo, hi)
+			partial[w] = assignRange(x, view, assign, dists, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -223,23 +232,11 @@ func assignAll(x *vec.Matrix, centroids *vec.Matrix, assign []int, dists []float
 	return total
 }
 
-func assignRange(x, centroids *vec.Matrix, assign []int, dists []float32, lo, hi int) float64 {
+func assignRange(x *vec.Matrix, centroids sortedView, assign []int, dists []float32, lo, hi int) float64 {
 	var inertia float64
-	k := centroids.Rows
 	for i := lo; i < hi; i++ {
-		row := x.Row(i)
-		best := 0
-		bestD := vec.SquaredL2(row, centroids.Row(0))
-		for c := 1; c < k; c++ {
-			d := vec.SquaredL2(row, centroids.Row(c))
-			if d < bestD {
-				bestD = d
-				best = c
-			}
-		}
-		assign[i] = best
-		dists[i] = bestD
-		inertia += float64(bestD)
+		assign[i], dists[i] = centroids.nearest(x.Row(i))
+		inertia += float64(dists[i])
 	}
 	return inertia
 }
@@ -258,14 +255,14 @@ func farthestPoint(dists []float32) int {
 // trainHierarchical trains a large codebook by first clustering into
 // HierarchicalBranch groups and then splitting each group into its
 // proportional share of the K centroids (paper §III-D).
-func trainHierarchical(x *vec.Matrix, c Config) (*Result, error) {
+func trainHierarchical(x *vec.Matrix, c Config, assignAll assignFunc) (*Result, error) {
 	top := c
 	top.K = c.HierarchicalBranch
 	top.HierarchicalThreshold = 0
 	if top.K > c.K {
 		top.K = c.K
 	}
-	coarse, err := trainFlat(x, top)
+	coarse, err := trainFlat(x, top, assignAll)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +312,7 @@ func trainHierarchical(x *vec.Matrix, c Config) (*Result, error) {
 		cfg.K = subK[g]
 		cfg.HierarchicalThreshold = 0
 		cfg.Seed = c.Seed + int64(g) + 1
-		res, err := trainFlat(sub, cfg)
+		res, err := trainFlat(sub, cfg, assignAll)
 		if err != nil {
 			return nil, err
 		}
@@ -333,18 +330,4 @@ func trainHierarchical(x *vec.Matrix, c Config) (*Result, error) {
 	dists := make([]float32, x.Rows)
 	inertia := assignAll(x, centroids, assign, dists, c.Parallel)
 	return &Result{Centroids: centroids, Assign: assign, Inertia: inertia, Iterations: coarse.Iterations}, nil
-}
-
-// AssignNearest returns the index of the centroid nearest to v.
-func AssignNearest(centroids *vec.Matrix, v []float32) int {
-	best := 0
-	bestD := vec.SquaredL2(v, centroids.Row(0))
-	for c := 1; c < centroids.Rows; c++ {
-		d := vec.SquaredL2(v, centroids.Row(c))
-		if d < bestD {
-			bestD = d
-			best = c
-		}
-	}
-	return best
 }

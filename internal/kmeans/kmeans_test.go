@@ -164,11 +164,11 @@ func TestHierarchicalTraining(t *testing.T) {
 
 func TestAssignNearest(t *testing.T) {
 	centroids, _ := vec.FromRows([][]float32{{0, 0}, {10, 0}, {0, 10}})
-	if got := AssignNearest(centroids, []float32{9, 1}); got != 1 {
-		t.Fatalf("got %d", got)
+	if got, d := Nearest(centroids, []float32{9, 1}); got != 1 || d != 2 {
+		t.Fatalf("got %d at %v", got, d)
 	}
-	if got := AssignNearest(centroids, []float32{1, 1}); got != 0 {
-		t.Fatalf("got %d", got)
+	if got, d := Nearest(centroids, []float32{1, 1}); got != 0 || d != 2 {
+		t.Fatalf("got %d at %v", got, d)
 	}
 }
 
@@ -203,8 +203,8 @@ func TestTrainInvariantsProperty(t *testing.T) {
 			}
 			d := float64(vec.SquaredL2(x.Row(i), res.Centroids.Row(a)))
 			// The recorded assignment must be the argmin.
-			best := AssignNearest(res.Centroids, x.Row(i))
-			bd := float64(vec.SquaredL2(x.Row(i), res.Centroids.Row(best)))
+			_, bd32 := Nearest(res.Centroids, x.Row(i))
+			bd := float64(bd32)
 			if d > bd+1e-5 {
 				return false
 			}

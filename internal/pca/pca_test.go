@@ -222,3 +222,87 @@ func TestEigenvalueMassProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// projectColumnWalk is the oracle: the dot product per output, walking a
+// column of Components, that Project used before it went row by row.
+func projectColumnWalk(m *Model, x *vec.Matrix) *vec.Matrix {
+	d := m.Dim
+	out := vec.NewMatrix(x.Rows, d)
+	row := make([]float64, d)
+	for i := 0; i < x.Rows; i++ {
+		src := x.Row(i)
+		for j := 0; j < d; j++ {
+			row[j] = float64(src[j])
+			if m.Mean != nil {
+				row[j] -= m.Mean[j]
+			}
+		}
+		dst := out.Row(i)
+		for j := 0; j < d; j++ {
+			var s float64
+			for k := 0; k < d; k++ {
+				s += row[k] * m.Components.At(k, j)
+			}
+			dst[j] = float32(s)
+		}
+	}
+	return out
+}
+
+// Project (serial and split across goroutines) and ProjectVec return the
+// oracle's bits, with and without centering.
+func TestProjectMatchesColumnWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range []int{1, 3, 32, 128} {
+		scales := make([]float64, d)
+		for j := range scales {
+			scales[j] = 1 + 3*rng.Float64()
+		}
+		x := anisotropic(rng, 256, d, scales)
+		for _, center := range []bool{false, true} {
+			m, err := Fit(x, Options{Center: center})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := projectColumnWalk(m, x)
+			got, err := m.Project(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			few, err := m.Project(x.SliceRows(0, 5)) // below the goroutine threshold
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) || !few.Equal(want.SliceRows(0, 5)) {
+				t.Fatalf("d=%d center=%v: Project differs from the column walk", d, center)
+			}
+			for i := 0; i < x.Rows; i += 37 {
+				one, err := m.ProjectVec(x.Row(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, v := range one {
+					if math.Float32bits(v) != math.Float32bits(want.At(i, j)) {
+						t.Fatalf("d=%d center=%v: ProjectVec row %d col %d differs", d, center, i, j)
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkProjectVec128(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	scales := make([]float64, 128)
+	for j := range scales {
+		scales[j] = 1
+	}
+	x := anisotropic(rng, 512, 128, scales)
+	m, _ := Fit(x, Options{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.ProjectVec(x.Row(i % x.Rows)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -14,10 +14,30 @@ import (
 // (2^bits[i]) x Lengths[i] centroid matrix; sizes may differ per subspace
 // (that is VAQ's "variable-sized dictionaries", §III-D; PQ/OPQ use equal
 // sizes).
+//
+// Dictionaries are stored in canonical order — rows ascending by first
+// coordinate (kmeans.SortRows) — so encoding searches them in place with
+// the bounded kmeans.NearestSorted and no sorted copy is kept live. A code
+// value is therefore a label of this order, not of training order. Build
+// through NewCodebooks: it records, per book, whether the rows really are
+// in order, and a book that is not (a stream written before the canonical
+// order existed, a literal) is searched with the linear scan instead.
 type Codebooks struct {
 	Sub   Subspaces
 	Bits  []int
 	Books []*vec.Matrix
+	// sorted[s]: Books[s] satisfies kmeans.IsSorted. nil = none checked.
+	sorted []bool
+}
+
+// NewCodebooks wraps already-trained dictionaries, checking each book's
+// row order once (O(entries)).
+func NewCodebooks(sub Subspaces, bits []int, books []*vec.Matrix) *Codebooks {
+	cb := &Codebooks{Sub: sub, Bits: bits, Books: books, sorted: make([]bool, len(books))}
+	for s, book := range books {
+		cb.sorted[s] = kmeans.IsSorted(book)
+	}
+	return cb
 }
 
 // TrainConfig controls codebook training.
@@ -48,7 +68,7 @@ func TrainCodebooks(data *vec.Matrix, sub Subspaces, bits []int, cfg TrainConfig
 			return nil, fmt.Errorf("quantizer: subspace %d bits=%d out of range [1,16]", i, b)
 		}
 	}
-	cb := &Codebooks{Sub: sub, Bits: append([]int(nil), bits...), Books: make([]*vec.Matrix, m)}
+	books := make([]*vec.Matrix, m)
 
 	type job struct{ i int }
 	var wg sync.WaitGroup
@@ -84,7 +104,9 @@ func TrainCodebooks(data *vec.Matrix, sub Subspaces, bits []int, cfg TrainConfig
 					mu.Unlock()
 					continue
 				}
-				cb.Books[i] = res.Centroids
+				// Canonical order, before anything is encoded against it.
+				kmeans.SortRows(res.Centroids)
+				books[i] = res.Centroids
 			}
 		}()
 	}
@@ -96,7 +118,7 @@ func TrainCodebooks(data *vec.Matrix, sub Subspaces, bits []int, cfg TrainConfig
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return cb, nil
+	return NewCodebooks(sub, append([]int(nil), bits...), books), nil
 }
 
 // Codes stores the encoded dataset: N vectors x M subspace indices. Indices
@@ -164,9 +186,13 @@ func (cb *Codebooks) Encode(data *vec.Matrix, parallel bool) (*Codes, error) {
 
 // EncodeVec encodes a single full-dimension vector into out (length M).
 func (cb *Codebooks) EncodeVec(v []float32, out []uint16) {
-	for s := 0; s < cb.Sub.M(); s++ {
-		sv := cb.Sub.Of(v, s)
-		out[s] = uint16(kmeans.AssignNearest(cb.Books[s], sv))
+	for s, book := range cb.Books {
+		nearest := kmeans.Nearest
+		if cb.sorted != nil && cb.sorted[s] {
+			nearest = kmeans.NearestSorted
+		}
+		c, _ := nearest(book, cb.Sub.Of(v, s))
+		out[s] = uint16(c)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vaq/internal/kmeans"
 	"vaq/internal/vec"
 )
 
@@ -168,25 +169,36 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeVecMatchesNearest(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	x := clusteredData(rng, 200, 6)
-	sub, _ := UniformSubspaces(6, 3)
-	cb, _ := TrainCodebooks(x, sub, []int{3, 3, 3}, TrainConfig{Seed: 3})
-	v := x.Row(17)
-	code := make([]uint16, 3)
-	cb.EncodeVec(v, code)
-	for s := 0; s < 3; s++ {
-		sv := sub.Of(v, s)
-		best := -1
-		bestD := float32(math.MaxFloat32)
-		for c := 0; c < cb.Books[s].Rows; c++ {
-			d := vec.SquaredL2(sv, cb.Books[s].Row(c))
-			if d < bestD {
-				bestD = d
-				best = c
-			}
+	x := clusteredData(rng, 400, 10)
+	sub, _ := FromLengths([]int{4, 3, 2, 1})
+	cb, _ := TrainCodebooks(x, sub, []int{6, 3, 3, 2}, TrainConfig{Seed: 3})
+	for s, book := range cb.Books {
+		if !kmeans.IsSorted(book) {
+			t.Fatalf("trained book %d is not in canonical order", s)
 		}
-		if int(code[s]) != best {
-			t.Fatalf("subspace %d: code %d, nearest %d", s, code[s], best)
+	}
+	// The same books as a literal carry no order information and are
+	// searched linearly; both must agree with the hand-written scan.
+	literal := &Codebooks{Sub: cb.Sub, Bits: cb.Bits, Books: cb.Books}
+	code, codeLinear := make([]uint16, 4), make([]uint16, 4)
+	for i := 0; i < x.Rows; i++ {
+		v := x.Row(i)
+		cb.EncodeVec(v, code)
+		literal.EncodeVec(v, codeLinear)
+		for s := 0; s < 4; s++ {
+			sv := sub.Of(v, s)
+			best := -1
+			bestD := float32(math.MaxFloat32)
+			for c := 0; c < cb.Books[s].Rows; c++ {
+				d := vec.SquaredL2(sv, cb.Books[s].Row(c))
+				if d < bestD {
+					bestD = d
+					best = c
+				}
+			}
+			if int(code[s]) != best || int(codeLinear[s]) != best {
+				t.Fatalf("row %d subspace %d: code %d, linear-path code %d, nearest %d", i, s, code[s], codeLinear[s], best)
+			}
 		}
 	}
 }

@@ -40,8 +40,9 @@ func TrainVQ(train, data *vec.Matrix, cfg VQConfig) (*VQ, error) {
 		return nil, err
 	}
 	assign := make([]uint16, data.Rows)
-	for i := 0; i < data.Rows; i++ {
-		assign[i] = uint16(kmeans.AssignNearest(res.Centroids, data.Row(i)))
+	for i := range assign {
+		c, _ := kmeans.Nearest(res.Centroids, data.Row(i))
+		assign[i] = uint16(c)
 	}
 	return &VQ{centroids: res.Centroids, assign: assign, n: data.Rows}, nil
 }

@@ -97,7 +97,7 @@ func Build(train, data *vec.Matrix, cfg Config) (*Index, error) {
 			recon[j] = 0
 		}
 		for s := 0; s < cfg.Stages; s++ {
-			c := kmeans.AssignNearest(ix.books[s], buf)
+			c, _ := kmeans.Nearest(ix.books[s], buf)
 			ix.codes[i*cfg.Stages+s] = uint16(c)
 			cr := ix.books[s].Row(c)
 			for j := 0; j < d; j++ {

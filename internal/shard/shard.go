@@ -157,6 +157,11 @@ func Build(train, data *vec.Matrix, cfg core.Config, opts Options) (*Index, erro
 	if train.Cols != data.Cols {
 		return nil, fmt.Errorf("shard: train dim %d != data dim %d", train.Cols, data.Cols)
 	}
+	// Checked here, before partitioning, so the error names the caller's
+	// row rather than a shard-local one.
+	if err := vec.CheckFinite(data); err != nil {
+		return nil, fmt.Errorf("shard: data: %w", err)
+	}
 	s := opts.Shards
 	if s < 1 {
 		return nil, fmt.Errorf("shard: Shards=%d invalid (need >= 1)", s)
@@ -830,6 +835,10 @@ func (x *Index) Add(vectors *vec.Matrix) (firstID int, err error) {
 	if vectors.Cols != x.dim {
 		return 0, fmt.Errorf("shard: Add dimension %d, index dimension %d", vectors.Cols, x.dim)
 	}
+	// Before the id reservation, which is never handed back.
+	if err := vec.CheckFinite(vectors); err != nil {
+		return 0, fmt.Errorf("shard: Add: %w", err)
+	}
 	rows := vectors.Rows
 	var first int64
 	for {
@@ -859,14 +868,13 @@ func (x *Index) Add(vectors *vec.Matrix) (firstID int, err error) {
 	for i := 0; i < rows; i++ {
 		grown[len(old)+i] = int32(first) + int32(i)
 	}
-	// Publish the grown mapping BEFORE encoding. st.ix.Add releases the
-	// core write lock before returning control here, so a search racing
-	// this call can already see the new codes; if the mapping were still
-	// the old length, ids[nb.ID] would be out of range. The trailing
-	// entries are unreachable until the codes exist, so pre-publishing is
-	// safe — and core.Add fails only before any code becomes visible
-	// (dimension check and projection precede its critical section), so
-	// rolling back to the old mapping on error is equally safe.
+	// Publish the grown mapping BEFORE encoding. st.ix.Add publishes the
+	// batch's codes before returning control here, so a search racing this
+	// call can already see them; if the mapping were still the old length,
+	// ids[nb.ID] would be out of range. The trailing entries are
+	// unreachable until the codes exist, so pre-publishing is safe — and a
+	// failed core.Add has published nothing, so rolling back to the old
+	// mapping on error is equally safe.
 	st.ids.Store(&grown)
 	if _, err := st.ix.Add(vectors); err != nil {
 		st.ids.Store(&old)

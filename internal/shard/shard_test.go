@@ -3,9 +3,12 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -385,7 +388,7 @@ func TestConcurrentAddSearch(t *testing.T) {
 }
 
 // TestSearchDuringAddMappingRace hammers the window between core.Add
-// releasing the shard's write lock and the local-to-global mapping being
+// publishing a batch's codes and the local-to-global mapping being
 // published: a racing full scan that sees the new codes must also see a
 // mapping long enough to cover their local ids, or ids[nb.ID] panics.
 // S=1 pins every search to the shard being mutated to maximize pressure.
@@ -709,5 +712,69 @@ func TestInitialThresholdSafety(t *testing.T) {
 				t.Fatalf("mode %v with bound=kth rank %d: %+v != %+v", mode, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// Non-finite vectors are refused with vec.ErrNonFinite naming the caller's
+// row — by Build before any shard exists, by Add before an id is reserved —
+// and a rejected Add leaves Len, the shard lengths, every shard's id
+// mapping and the answers as they were.
+func TestNonFiniteInputRejected(t *testing.T) {
+	data := testData(t, 400, 16, 70)
+	cfg := core.Config{NumSubspaces: 4, Budget: 24, Seed: 71}
+	poisoned := func(rows, row, col int, v float64) *vec.Matrix {
+		m := data.SliceRows(0, rows).Clone()
+		m.Set(row, col, float32(v))
+		return m
+	}
+	x := mustBuild(t, data.SliceRows(0, 300), cfg, Options{Shards: 3})
+	snapshot := func() (n int, lens []int, ids [][]int32, answers [][]vec.Neighbor) {
+		for _, st := range x.states {
+			ids = append(ids, append([]int32(nil), *st.ids.Load()...))
+		}
+		for qi := 0; qi < 10; qi++ {
+			res, err := x.Search(data.Row(qi*31), 5, core.SearchOptions{VisitFrac: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers = append(answers, res)
+		}
+		return x.Len(), x.ShardLens(), ids, answers
+	}
+	n0, lens0, ids0, answers0 := snapshot()
+
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"Build data NaN", func() error {
+			m := poisoned(300, 123, 5, math.NaN())
+			_, err := Build(m, m, cfg, Options{Shards: 3})
+			return err
+		}, "row 123, column 5"},
+		{"Build train Inf", func() error {
+			_, err := Build(poisoned(200, 9, 0, math.Inf(1)), data.SliceRows(0, 300), cfg, Options{Shards: 2})
+			return err
+		}, "row 9, column 0"},
+		{"Add NaN", func() error { _, err := x.Add(poisoned(30, 29, 15, math.NaN())); return err }, "row 29, column 15"},
+		{"Add Inf", func() error { _, err := x.Add(poisoned(30, 0, 1, math.Inf(-1))); return err }, "row 0, column 1"},
+	} {
+		err := tc.run()
+		if !errors.Is(err, vec.ErrNonFinite) {
+			t.Fatalf("%s: got %v, want ErrNonFinite", tc.name, err)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q does not name %s", tc.name, err, tc.want)
+		}
+	}
+
+	n1, lens1, ids1, answers1 := snapshot()
+	if n1 != n0 || !reflect.DeepEqual(lens1, lens0) || !reflect.DeepEqual(ids1, ids0) || !reflect.DeepEqual(answers1, answers0) {
+		t.Fatalf("rejected Adds changed the index: Len %d -> %d, shard lens %v -> %v", n0, n1, lens0, lens1)
+	}
+	// No id was burnt: the next batch continues at Len.
+	if first, err := x.Add(data.SliceRows(300, 330)); err != nil || first != 300 {
+		t.Fatalf("Add after rejected Adds: first id %d, err %v", first, err)
 	}
 }

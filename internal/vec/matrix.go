@@ -48,6 +48,22 @@ func FromRows(rows [][]float32) (*Matrix, error) {
 	return m, nil
 }
 
+// ErrNonFinite reports a NaN or infinite value in vectors handed to a
+// build or an Add. The write path's ordered dictionary search is undefined
+// on NaN, so such input is refused before anything is encoded.
+var ErrNonFinite = errors.New("non-finite value")
+
+// CheckFinite returns an error wrapping ErrNonFinite, naming the first
+// offending row and column, if m holds a NaN or an infinity.
+func CheckFinite(m *Matrix) error {
+	for i, v := range m.Data {
+		if v-v != 0 { // NaN and ±Inf are the only values with v-v != 0
+			return fmt.Errorf("%w %v at row %d, column %d", ErrNonFinite, v, i/m.Cols, i%m.Cols)
+		}
+	}
+	return nil
+}
+
 // Row returns the i-th row as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]

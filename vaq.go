@@ -82,6 +82,13 @@ const (
 	EQ = milp.EQ // Σ coeffs·bits == RHS
 )
 
+// ErrNonFinite is wrapped by the error Build, BuildWithTrainingSet,
+// BuildSharded, BuildShardedWithTrainingSet and Add return for input that
+// holds a NaN or an infinity (the message names the row and column). The
+// check runs before anything is trained, encoded or assigned an id, so a
+// rejected Add leaves the index exactly as it was. Test with errors.Is.
+var ErrNonFinite = vec.ErrNonFinite
+
 // ScanLayout selects the physical layout the query kernels scan.
 type ScanLayout = core.ScanLayout
 
