@@ -44,6 +44,51 @@ func TestPublicAdd(t *testing.T) {
 	}
 }
 
+// A non-finite query is refused with ErrNonFinite by Search and, per
+// query, by SearchBatch — on both index kinds and in both accuracy modes —
+// while the batch's finite queries still get their answers.
+func TestNonFiniteQueryRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	data := genData(rng, 400, 16)
+	bad := append([]float32(nil), data[3]...)
+	bad[4] = float32(math.NaN())
+	inf := append([]float32(nil), data[5]...)
+	inf[0] = float32(math.Inf(1))
+	batch := [][]float32{data[1], bad, data[2], inf}
+	for _, acc := range []AccuracyMode{AccuracyExact, AccuracyFast} {
+		cfg := Config{NumSubspaces: 4, Budget: 24, Seed: 63, TIClusters: 8, Shards: 2, AccuracyMode: acc}
+		ix, err := Build(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sx, err := BuildSharded(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name   string
+			search func([]float32, int) ([]Result, error)
+			batch  func([][]float32, int, SearchOptions, int) ([][]Result, error)
+		}{
+			{"Index", ix.Search, ix.SearchBatch},
+			{"ShardedIndex", sx.Search, sx.SearchBatch},
+		} {
+			for _, q := range [][]float32{bad, inf} {
+				if _, err := tc.search(q, 5); !errors.Is(err, ErrNonFinite) {
+					t.Fatalf("%v %s.Search: got %v, want ErrNonFinite", acc, tc.name, err)
+				}
+			}
+			res, err := tc.batch(batch, 5, SearchOptions{}, 2)
+			if !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("%v %s.SearchBatch: got %v, want ErrNonFinite", acc, tc.name, err)
+			}
+			if res[1] != nil || res[3] != nil || len(res[0]) != 5 || len(res[2]) != 5 {
+				t.Fatalf("%v %s.SearchBatch: want answers for the finite queries only, got %v", acc, tc.name, res)
+			}
+		}
+	}
+}
+
 // The write path's input contract at the public surface: every build entry
 // point and both Adds refuse NaN and infinities with ErrNonFinite, naming
 // the row and column, and a rejected Add changes nothing.

@@ -116,29 +116,21 @@ func BenchmarkSearchEA(b *testing.B)     { benchSearchMode(b, core.ModeEA, 0) }
 func BenchmarkSearchTIEA25(b *testing.B) { benchSearchMode(b, core.ModeTIEA, 0.25) }
 func BenchmarkSearchTIEA10(b *testing.B) { benchSearchMode(b, core.ModeTIEA, 0.10) }
 
-// --- scan-layout A/B pairs ------------------------------------------------
+// --- scan-kernel pairs ---------------------------------------------------
 //
-// Same index content, same queries, same mode — only the physical layout
-// the kernels scan differs. Compare pairs with:
+// Same index content, same queries, same mode — only the scan arithmetic
+// differs (the exact float kernels over the blocked store, or the integer
+// fast-scan kernel). Compare with:
 //
 //	GOMAXPROCS=1 go test -bench='ScanLayout' -count=10 | benchstat
-//
-// Both members of a pair return byte-identical results (enforced by
-// TestScanLayoutEquivalence in internal/core), so any delta is pure
-// memory-layout effect.
 
-type scanBenchKey struct {
-	layout   core.ScanLayout
-	accuracy core.AccuracyMode
-}
-
-var scanLayoutBenchCache = map[scanBenchKey]*core.Index{}
+var scanLayoutBenchCache = map[core.AccuracyMode]*core.Index{}
 var scanLayoutBenchData *dataset.Dataset
 
-func scanLayoutBenchIndex(b *testing.B, layout core.ScanLayout, accuracy core.AccuracyMode) (*core.Index, *dataset.Dataset) {
+func scanLayoutBenchIndex(b *testing.B, accuracy core.AccuracyMode) (*core.Index, *dataset.Dataset) {
 	b.Helper()
-	// 100k codes x 32 subspaces spill any private cache level: the pair
-	// then measures layout (miss-rate) effects, not just instruction mix.
+	// 100k codes x 32 subspaces spill any private cache level: the scan
+	// then pays its real miss rate, not just its instruction mix.
 	if scanLayoutBenchData == nil {
 		ds, err := dataset.Large("SALD", 100000, 16, 7)
 		if err != nil {
@@ -147,28 +139,26 @@ func scanLayoutBenchIndex(b *testing.B, layout core.ScanLayout, accuracy core.Ac
 		scanLayoutBenchData = ds
 	}
 	ds := scanLayoutBenchData
-	key := scanBenchKey{layout, accuracy}
-	if ix, ok := scanLayoutBenchCache[key]; ok {
+	if ix, ok := scanLayoutBenchCache[accuracy]; ok {
 		return ix, ds
 	}
 	// Train on a sample: the pair compares scan throughput, and a smaller
 	// training set keeps the one-time build out of the measured budget.
 	ix, err := core.Build(ds.Train.SliceRows(0, 4000), ds.Base, core.Config{
-		NumSubspaces: 32, Budget: 256, Seed: 7,
-		ScanLayout: layout, AccuracyMode: accuracy,
+		NumSubspaces: 32, Budget: 256, Seed: 7, AccuracyMode: accuracy,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	scanLayoutBenchCache[key] = ix
+	scanLayoutBenchCache[accuracy] = ix
 	return ix, ds
 }
 
-func benchScanLayout(b *testing.B, layout core.ScanLayout, accuracy core.AccuracyMode, mode core.SearchMode, frac float64) {
-	ix, ds := scanLayoutBenchIndex(b, layout, accuracy)
+func benchScanLayout(b *testing.B, accuracy core.AccuracyMode, mode core.SearchMode, frac float64) {
+	ix, ds := scanLayoutBenchIndex(b, accuracy)
 	s := ix.NewSearcher()
-	// Pre-project the queries: rotation cost is identical under either
-	// layout, so the pair isolates LUT construction + scan.
+	// Pre-project the queries: rotation cost is identical in either mode,
+	// so the pair isolates LUT construction + scan.
 	projected := make([][]float32, ds.Queries.Rows)
 	for i := range projected {
 		qz, err := ix.ProjectQuery(ds.Queries.Row(i))
@@ -188,28 +178,21 @@ func benchScanLayout(b *testing.B, layout core.ScanLayout, accuracy core.Accurac
 }
 
 func BenchmarkScanLayoutTIEABlocked(b *testing.B) {
-	benchScanLayout(b, core.LayoutBlocked, core.AccuracyExact, core.ModeTIEA, 0.25)
-}
-func BenchmarkScanLayoutTIEARowMajor(b *testing.B) {
-	benchScanLayout(b, core.LayoutRowMajor, core.AccuracyExact, core.ModeTIEA, 0.25)
+	benchScanLayout(b, core.AccuracyExact, core.ModeTIEA, 0.25)
 }
 func BenchmarkScanLayoutHeapBlocked(b *testing.B) {
-	benchScanLayout(b, core.LayoutBlocked, core.AccuracyExact, core.ModeHeap, 0)
-}
-func BenchmarkScanLayoutHeapRowMajor(b *testing.B) {
-	benchScanLayout(b, core.LayoutRowMajor, core.AccuracyExact, core.ModeHeap, 0)
+	benchScanLayout(b, core.AccuracyExact, core.ModeHeap, 0)
 }
 
 // The Fast pair runs the integer kernel (uint8 LUTs, packed 4-bit codes
-// where dictionaries allow) on the same blocked index content. Unlike
-// the layout pairs these are NOT bit-identical to their exact twins —
-// TestFastKernelRecallAgainstExact bounds the answer drift — so compare
-// throughput only against ScanLayoutTIEABlocked/HeapBlocked.
+// where dictionaries allow) on the same index content. These are NOT
+// bit-identical to their exact twins — TestFastKernelRecallAgainstExact
+// bounds the answer drift — so compare throughput only.
 func BenchmarkScanLayoutTIEAFast(b *testing.B) {
-	benchScanLayout(b, core.LayoutBlocked, core.AccuracyFast, core.ModeTIEA, 0.25)
+	benchScanLayout(b, core.AccuracyFast, core.ModeTIEA, 0.25)
 }
 func BenchmarkScanLayoutHeapFast(b *testing.B) {
-	benchScanLayout(b, core.LayoutBlocked, core.AccuracyFast, core.ModeHeap, 0)
+	benchScanLayout(b, core.AccuracyFast, core.ModeHeap, 0)
 }
 
 // BenchmarkSearchMetricsOn/Off isolate the hot-path cost of the

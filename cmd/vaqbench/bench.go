@@ -35,7 +35,10 @@ type benchParams struct {
 	VisitFrac float64 `json:"visit_frac"`
 	Workers   int     `json:"workers"`
 	Passes    int     `json:"passes"`
-	Layout    string  `json:"layout"` // "blocked", "rowmajor", "both", "int", or "all"
+	// Layout is "blocked" on every measured arm (the -layout flag's "int"
+	// and "all" name arm sets, not layouts); it stays in params so config
+	// fingerprints match the committed baselines.
+	Layout string `json:"layout"`
 	// Accuracy is the scan arithmetic: "" or "exact" for the float kernels,
 	// "fast" for the integer fast-scan kernel. omitempty keeps every
 	// exact-mode fingerprint identical to pre-int-kernel summaries.
@@ -49,17 +52,6 @@ type benchParams struct {
 	// partitioned across this many indexes sharing one trained model.
 	// omitempty keeps unsharded fingerprints identical to older summaries.
 	Shards int `json:"shards,omitempty"`
-}
-
-// parseLayout maps the -layout flag value to a core.ScanLayout.
-func parseLayout(name string) (core.ScanLayout, error) {
-	switch name {
-	case "", "blocked":
-		return core.LayoutBlocked, nil
-	case "rowmajor":
-		return core.LayoutRowMajor, nil
-	}
-	return 0, fmt.Errorf("unknown layout %q (blocked, rowmajor, both, int or all)", name)
 }
 
 // parseAccuracy maps the accuracy param to a core.AccuracyMode.
@@ -99,7 +91,7 @@ type benchProvenance struct {
 	// ConfigFingerprint is a short sha256 of the canonical params JSON:
 	// two summaries are comparable iff their fingerprints match.
 	ConfigFingerprint string `json:"config_fingerprint"`
-	// Layout is the scan layout this run measured.
+	// Layout mirrors params.layout.
 	Layout string `json:"layout"`
 	// Accuracy is the scan arithmetic this run measured ("" = exact).
 	Accuracy string `json:"accuracy,omitempty"`
@@ -241,17 +233,15 @@ type benchSummary struct {
 	ShardBreakdown *shard.ShardsReport `json:"shard_breakdown,omitempty"`
 }
 
-// layoutComparison is the JSON document emitted by -layout both / all: the
-// same workload measured once per arm, plus the headline ratios the perf
-// tracker watches (blocked TIEA throughput over row-major, and — with the
-// -layout all third arm — the integer kernel's throughput over blocked
-// exact).
+// layoutComparison is the JSON document emitted by -layout all: the same
+// workload measured once per arm, plus the headline ratio the perf tracker
+// watches (the integer kernel's throughput over exact). Documents written
+// while a row-major arm existed also carry "rowmajor" and
+// "tiea_qps_speedup"; -compare reads only the blocked arm, so they stay
+// comparable.
 type layoutComparison struct {
-	Blocked        *benchSummary `json:"blocked"`
-	RowMajor       *benchSummary `json:"rowmajor"`
-	TIEAQPSSpeedup float64       `json:"tiea_qps_speedup"`
-	// BlockedInt is the -layout all third arm: the blocked layout scanned
-	// by the integer fast kernel (accuracy "fast").
+	Blocked *benchSummary `json:"blocked"`
+	// BlockedInt is the integer fast kernel's arm (accuracy "fast").
 	BlockedInt        *benchSummary `json:"blocked_int,omitempty"`
 	IntTIEAQPSSpeedup float64       `json:"int_tiea_qps_speedup,omitempty"`
 	// Sharded holds the scatter-gather arms (-shards): one per requested
@@ -273,26 +263,32 @@ type shardedArm struct {
 	QPSSpeedupVsBlocked float64 `json:"qps_speedup_vs_blocked"`
 }
 
-// runJSONBench builds an index (or, with -layout both, one per scan
-// layout) over a synthetic dataset, drives the query workload through a
-// worker pool of reusable Searchers, and writes the summary to path
-// ("-" for stdout). With -shards, additional scatter-gather arms run
-// after the layout arms, each compared against blocked exact on both
-// throughput and brute-force recall@k.
+// runJSONBench builds an index over a synthetic dataset, drives the query
+// workload through a worker pool of reusable Searchers, and writes the
+// summary to path ("-" for stdout). With -layout all it measures the
+// exact and the integer kernel on the same workload; with -shards,
+// additional scatter-gather arms run after those two, each compared
+// against the unsharded arm of its accuracy mode on both throughput and
+// brute-force recall@k.
 func runJSONBench(path string, p benchParams, withReport bool, shardCounts []int) error {
+	switch p.Layout {
+	case "", "blocked", "int", "all":
+	default:
+		return fmt.Errorf("unknown layout %q (blocked, int or all)", p.Layout)
+	}
 	ds, err := dataset.Large(p.Dataset, p.N, p.NQ, p.Seed)
 	if err != nil {
 		return err
 	}
 	if len(shardCounts) > 0 && p.Layout != "all" {
-		return fmt.Errorf("-shards needs -layout all (the sharded arms compare against the blocked exact arm)")
+		return fmt.Errorf("-shards needs -layout all (the sharded arms compare against the unsharded arms)")
 	}
-	if p.Layout == "both" || p.Layout == "all" {
+	if p.Layout == "all" {
 		if accuracyName(p.Accuracy) != "exact" {
-			return fmt.Errorf("-layout %s runs its own accuracy arms; drop -accuracy", p.Layout)
+			return fmt.Errorf("-layout all runs its own accuracy arms; drop -accuracy")
 		}
 		// Ground truth is only needed when sharded arms will compare
-		// recall; plain layout A/Bs keep their old cost.
+		// recall; the plain two-arm run keeps its old cost.
 		var gt [][]int
 		if len(shardCounts) > 0 {
 			gt, err = eval.GroundTruth(ds.Base, ds.Queries, p.K)
@@ -300,66 +296,56 @@ func runJSONBench(path string, p benchParams, withReport bool, shardCounts []int
 				return err
 			}
 		}
-		pb, pr := p, p
-		pb.Layout, pr.Layout = "blocked", "rowmajor"
+		pb := p
+		pb.Layout = "blocked"
 		blocked, err := runBenchOnce(ds, pb, withReport, gt)
 		if err != nil {
 			return err
 		}
-		rowmajor, err := runBenchOnce(ds, pr, withReport, nil)
+		pi := pb
+		pi.Accuracy = "fast"
+		blockedInt, err := runBenchOnce(ds, pi, withReport, gt)
 		if err != nil {
 			return err
 		}
 		cmp := layoutComparison{
-			Blocked:        blocked,
-			RowMajor:       rowmajor,
-			TIEAQPSSpeedup: blocked.Search.QPS / rowmajor.Search.QPS,
+			Blocked:           blocked,
+			BlockedInt:        blockedInt,
+			IntTIEAQPSSpeedup: blockedInt.Search.QPS / blocked.Search.QPS,
 		}
-		line := fmt.Sprintf("layouts: blocked %.0f qps, rowmajor %.0f qps, speedup %.2fx",
-			cmp.Blocked.Search.QPS, cmp.RowMajor.Search.QPS, cmp.TIEAQPSSpeedup)
-		if p.Layout == "all" {
-			pi := p
-			pi.Layout, pi.Accuracy = "blocked", "fast"
-			blockedInt, err := runBenchOnce(ds, pi, withReport, gt)
-			if err != nil {
-				return err
-			}
-			cmp.BlockedInt = blockedInt
-			cmp.IntTIEAQPSSpeedup = blockedInt.Search.QPS / blocked.Search.QPS
-			line += fmt.Sprintf(", int %.0f qps (%.2fx over blocked)",
-				blockedInt.Search.QPS, cmp.IntTIEAQPSSpeedup)
-			if r := blockedInt.Metrics.ObservedRecall(); blockedInt.Metrics.RecallSamples > 0 {
-				line += fmt.Sprintf(", int recall %.3f", r)
-			}
-			for _, s := range shardCounts {
-				for _, acc := range []string{"", "fast"} {
-					ps := p
-					ps.Layout, ps.Accuracy, ps.Shards = "blocked", acc, s
-					arm, err := runShardedOnce(ds, ps, withReport, gt)
-					if err != nil {
-						return err
-					}
-					base := blocked
-					if acc == "fast" {
-						base = blockedInt
-					}
-					cmp.Sharded = append(cmp.Sharded, &shardedArm{
-						benchSummary:        *arm,
-						QPSSpeedupVsBlocked: arm.Search.QPS / base.Search.QPS,
-					})
-					line += fmt.Sprintf(", S=%d %s %.0f qps (%.2fx, recall %.3f)",
-						s, accuracyName(acc), arm.Search.QPS,
-						arm.Search.QPS/base.Search.QPS, arm.Search.RecallAtK)
+		line := fmt.Sprintf("blocked %.0f qps, int %.0f qps (%.2fx over blocked)",
+			blocked.Search.QPS, blockedInt.Search.QPS, cmp.IntTIEAQPSSpeedup)
+		if r := blockedInt.Metrics.ObservedRecall(); blockedInt.Metrics.RecallSamples > 0 {
+			line += fmt.Sprintf(", int recall %.3f", r)
+		}
+		for _, s := range shardCounts {
+			for _, acc := range []string{"", "fast"} {
+				ps := pb
+				ps.Accuracy, ps.Shards = acc, s
+				arm, err := runShardedOnce(ds, ps, withReport, gt)
+				if err != nil {
+					return err
 				}
+				base := blocked
+				if acc == "fast" {
+					base = blockedInt
+				}
+				cmp.Sharded = append(cmp.Sharded, &shardedArm{
+					benchSummary:        *arm,
+					QPSSpeedupVsBlocked: arm.Search.QPS / base.Search.QPS,
+				})
+				line += fmt.Sprintf(", S=%d %s %.0f qps (%.2fx, recall %.3f)",
+					s, accuracyName(acc), arm.Search.QPS,
+					arm.Search.QPS/base.Search.QPS, arm.Search.RecallAtK)
 			}
-			if len(cmp.Sharded) > 0 && len(cmp.Sharded[0].Provenance.Caveats) > 0 {
-				line += " [caveat: single-core run, sharded ratios not representative]"
-			}
+		}
+		if len(cmp.Sharded) > 0 && len(cmp.Sharded[0].Provenance.Caveats) > 0 {
+			line += " [caveat: single-core run, sharded ratios not representative]"
 		}
 		return writeJSONDoc(path, cmp, line)
 	}
 	if p.Layout == "int" {
-		// Shorthand for the integer arm alone: blocked layout, fast kernel.
+		// Shorthand for the integer arm alone.
 		p.Layout, p.Accuracy = "blocked", "fast"
 	}
 	sum, err := runBenchOnce(ds, p, withReport, nil)
@@ -375,14 +361,10 @@ func runJSONBench(path string, p benchParams, withReport bool, shardCounts []int
 	return writeJSONDoc(path, sum, line)
 }
 
-// runBenchOnce builds one index at p's layout and measures the query
+// runBenchOnce builds one index at p's accuracy mode and measures the query
 // workload against it. A non-nil gt adds one untimed pass measuring
 // recall@k against brute-force ground truth.
 func runBenchOnce(ds *dataset.Dataset, p benchParams, withReport bool, gt [][]int) (*benchSummary, error) {
-	layout, err := parseLayout(p.Layout)
-	if err != nil {
-		return nil, err
-	}
 	accuracy, err := parseAccuracy(p.Accuracy)
 	if err != nil {
 		return nil, err
@@ -392,7 +374,6 @@ func runBenchOnce(ds *dataset.Dataset, p benchParams, withReport bool, gt [][]in
 		Budget:           p.Budget,
 		MaxBits:          p.MaxBits,
 		Seed:             p.Seed,
-		ScanLayout:       layout,
 		AccuracyMode:     accuracy,
 		RecallSampleRate: p.RecallRate,
 	})
@@ -480,10 +461,6 @@ func runBenchOnce(ds *dataset.Dataset, p benchParams, withReport bool, gt [][]in
 // global k-th distance fed back as a cross-shard threshold) and the
 // deterministic merge.
 func runShardedOnce(ds *dataset.Dataset, p benchParams, withReport bool, gt [][]int) (*benchSummary, error) {
-	layout, err := parseLayout(p.Layout)
-	if err != nil {
-		return nil, err
-	}
 	accuracy, err := parseAccuracy(p.Accuracy)
 	if err != nil {
 		return nil, err
@@ -494,7 +471,6 @@ func runShardedOnce(ds *dataset.Dataset, p benchParams, withReport bool, gt [][]
 		Budget:           p.Budget,
 		MaxBits:          p.MaxBits,
 		Seed:             p.Seed,
-		ScanLayout:       layout,
 		AccuracyMode:     accuracy,
 		RecallSampleRate: p.RecallRate,
 	}, shard.Options{Shards: p.Shards})
@@ -635,7 +611,7 @@ func writeJSONDoc(path string, doc any, line string) error {
 // projectQueries rotates the whole query set into the index's PCA space
 // once, so the timed passes measure the index scan path — the thing the
 // summary's latency percentiles already cover (RecordSearch starts after
-// projection) and the thing -layout both compares.
+// projection).
 func projectQueries(ix *core.Index, ds *dataset.Dataset) ([][]float32, error) {
 	qz := make([][]float32, ds.Queries.Rows)
 	for qi := range qz {

@@ -105,7 +105,7 @@ func runCompare(baselinePath, nextPath string, thresholdPct float64, force bool)
 }
 
 // loadSummary reads one vaqbench -json document. Three shapes are
-// accepted: a plain benchSummary, a -layout both/all layoutComparison
+// accepted: a plain benchSummary, a -layout all layoutComparison
 // (its blocked exact arm is the one compared — the default production
 // configuration), and
 // pre-provenance summaries, whose fingerprint is synthesized from the
@@ -121,7 +121,7 @@ func loadSummary(path string) (*benchSummary, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if s.Params.Dataset == "" {
-		// Not a flat summary — try the -layout both comparison document.
+		// Not a flat summary — try the -layout all comparison document.
 		var cmp layoutComparison
 		if err := json.Unmarshal(b, &cmp); err == nil && cmp.Blocked != nil && cmp.Blocked.Params.Dataset != "" {
 			fmt.Fprintf(os.Stderr, "vaqbench: %s is a layout-comparison document; comparing its blocked (exact) arm\n", path)

@@ -8,8 +8,8 @@
 //	vaqbench -exp all -scale quick
 //	vaqbench -exp tab2 -n 50000 -gallery 128
 //	vaqbench -json BENCH_sald.json -n 20000 -nq 200   # perf summary
-//	vaqbench -json BENCH_pr2.json -layout both        # scan-layout A/B
-//	vaqbench -json BENCH_pr6.json -layout all         # + integer-kernel arm
+//	vaqbench -json BENCH_int.json -layout int         # integer kernel alone
+//	vaqbench -json BENCH_pr6.json -layout all         # exact + integer arms
 //	vaqbench -json BENCH_pr7.json -layout all -shards 4,8  # + sharded arms
 //	vaqbench -json BENCH_sald.json -report            # + IndexReport quality block
 //	vaqbench -json - -metrics-addr localhost:6060     # live expvar/pprof
@@ -20,10 +20,11 @@
 // EXPERIMENTS.md). The -json mode instead builds one index, drives the
 // query workload through a Searcher pool, and emits a machine-readable
 // summary (build-phase timings, QPS, p50/p95/p99 latency, TI/EA prune
-// rates) for tracking the perf trajectory across PRs; -layout both runs
-// the workload once per scan layout and records the blocked-over-rowmajor
-// throughput ratio, and -layout all adds a third arm measuring the integer
-// fast-scan kernel (blocked layout, -accuracy fast) against blocked exact;
+// rates) for tracking the perf trajectory across PRs. Every arm scans the
+// blocked store; -layout int measures the integer fast-scan kernel
+// (-accuracy fast) alone, and -layout all runs the workload once exact and
+// once on the integer kernel and records the int-over-exact throughput
+// ratio;
 // -report additionally embeds the index-quality IndexReport (distortion,
 // utilization, TI balance) in the summary. The -compare mode diffs two
 // -json summaries metric by metric and exits 1 when QPS drops or a latency
@@ -81,9 +82,9 @@ func main() {
 		visit       = flag.Float64("visit", 0.25, "TI visit fraction for -json")
 		workers     = flag.Int("workers", 0, "query workers for -json (0 = GOMAXPROCS)")
 		passes      = flag.Int("passes", 3, "timed passes over the query set for -json")
-		layout      = flag.String("layout", "blocked", "scan layout for -json: blocked, rowmajor, both (exact A/B), int (blocked + integer kernel), or all (three-arm A/B)")
+		layout      = flag.String("layout", "blocked", "arms for -json: blocked (one arm at -accuracy), int (the integer kernel alone), or all (exact and integer arms)")
 		shards      = flag.String("shards", "", "comma-separated shard counts for extra scatter-gather arms in -json -layout all (e.g. '4,8'; each runs both accuracy modes and records recall@k vs brute force)")
-		accuracy    = flag.String("accuracy", "", "scan arithmetic for -json: exact (default) or fast (integer kernel; single-layout runs only)")
+		accuracy    = flag.String("accuracy", "", "scan arithmetic for -json: exact (default) or fast (integer kernel; -layout blocked only)")
 		report      = flag.Bool("report", false, "embed the index-quality IndexReport in the -json summary")
 		recallRate  = flag.Float64("recall-sample", 0, "fraction of -json queries shadow-checked against an exact scan (populates observed recall; 0 disables)")
 		compare     = flag.Bool("compare", false, "diff two -json summaries (args: baseline.json new.json); exit 1 on regression")

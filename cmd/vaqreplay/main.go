@@ -42,7 +42,6 @@ func main() {
 		minBits   = flag.Int("minbits", 1, "minimum bits per subspace")
 		maxBits   = flag.Int("maxbits", 13, "maximum bits per subspace")
 		nonUnif   = flag.Bool("nonuniform", false, "cluster dimensions into non-uniform subspaces")
-		layoutStr = flag.String("layout", "blocked", "scan layout: blocked or rowmajor")
 		accStr    = flag.String("accuracy", "exact", "scan arithmetic: exact or fast (integer kernel)")
 		seed      = flag.Int64("seed", 42, "build seed")
 		shards    = flag.Int("shards", 1, "shard count: >1 rebuilds a sharded scatter-gather index, so the replay gates merge correctness")
@@ -55,16 +54,6 @@ func main() {
 	flag.Parse()
 	if *logPath == "" || *dataPath == "" {
 		fmt.Fprintln(os.Stderr, "vaqreplay: -log and -data are required")
-		os.Exit(2)
-	}
-	var layout core.ScanLayout
-	switch *layoutStr {
-	case "blocked":
-		layout = core.LayoutBlocked
-	case "rowmajor":
-		layout = core.LayoutRowMajor
-	default:
-		fmt.Fprintf(os.Stderr, "vaqreplay: unknown layout %q (blocked or rowmajor)\n", *layoutStr)
 		os.Exit(2)
 	}
 	var accuracy core.AccuracyMode
@@ -118,7 +107,6 @@ func main() {
 		MaxBits:      *maxBits,
 		NonUniform:   *nonUnif,
 		Seed:         *seed,
-		ScanLayout:   layout,
 		AccuracyMode: accuracy,
 	}
 	start := time.Now()

@@ -70,8 +70,7 @@ func main() {
 		k           = flag.Int("k", 100, "neighbors per query")
 		visit       = flag.Float64("visit", 0.25, "fraction of TI clusters visited")
 		nonUnif     = flag.Bool("nonuniform", false, "cluster dimensions into non-uniform subspaces")
-		layoutName  = flag.String("layout", "blocked", "scan layout: blocked (cache-optimized, default) or rowmajor (legacy)")
-		accStr      = flag.String("accuracy", "exact", "scan arithmetic: exact or fast (integer kernel, blocked layout only)")
+		accStr      = flag.String("accuracy", "exact", "scan arithmetic: exact or fast (integer kernel)")
 		seed        = flag.Int64("seed", 42, "build seed")
 		shards      = flag.Int("shards", 1, "shard count: >1 builds a sharded scatter-gather index (parallel encode, concurrent per-shard search, merged top-k)")
 		metricsAddr = flag.String("metrics-addr", "", "serve expvar (/debug/vars), pprof (/debug/pprof/) and /debug/vaq/{metrics,traces} on this address")
@@ -95,16 +94,6 @@ func main() {
 	flag.Parse()
 	if *dataPath == "" {
 		fmt.Fprintln(os.Stderr, "vaqsearch: -data is required")
-		os.Exit(2)
-	}
-	var layout core.ScanLayout
-	switch *layoutName {
-	case "blocked":
-		layout = core.LayoutBlocked
-	case "rowmajor":
-		layout = core.LayoutRowMajor
-	default:
-		fmt.Fprintf(os.Stderr, "vaqsearch: unknown layout %q (blocked or rowmajor)\n", *layoutName)
 		os.Exit(2)
 	}
 	var accuracy core.AccuracyMode
@@ -140,7 +129,6 @@ func main() {
 		MaxBits:          *maxBits,
 		NonUniform:       *nonUnif,
 		Seed:             *seed,
-		ScanLayout:       layout,
 		AccuracyMode:     accuracy,
 		RecallSampleRate: *recallRate,
 	}

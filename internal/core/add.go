@@ -23,9 +23,8 @@ type state struct {
 	n     int
 	codes *quantizer.Codes
 	ti    *tiIndex
-	// blocked is the scan-optimized copy (nil under LayoutRowMajor); fast
-	// the integer-kernel store (nil unless the accuracy mode is
-	// AccuracyFast).
+	// blocked is the scan-optimized copy the float kernels read; fast the
+	// integer-kernel store (nil unless the accuracy mode is AccuracyFast).
 	blocked *blockedStore
 	fast    *fastStore
 	// retained holds the projected dataset rows for the shadow-exact
@@ -110,9 +109,7 @@ func (ix *Index) Add(vectors *vec.Matrix) (firstID int, err error) {
 	// The scan stores are derived from codes+clusters and rebuilt
 	// wholesale: insertions shift every later member of a cluster, which
 	// reshuffles block lanes.
-	if old.blocked != nil {
-		next.blocked = buildBlockedStore(ix.cb, next.codes, next.ti)
-	}
+	next.blocked = buildBlockedStore(ix.cb, next.codes, next.ti)
 	if old.fast != nil {
 		// The coarse scan dictionaries depend only on the (immutable)
 		// codebooks and seed, so the rebuild donates them via prev and only

@@ -17,8 +17,8 @@ type AccuracyMode int
 
 const (
 	// AccuracyExact (default) keeps the bit-identical float32 kernels:
-	// both scan layouts return exactly the same ids, distances and prune
-	// statistics (the PR 2 invariant).
+	// they return exactly the ids, distances and prune statistics of a
+	// plain row-major scan of the canonical codes.
 	AccuracyExact AccuracyMode = iota
 	// AccuracyFast scans a derived integer code store: dictionaries wider
 	// than 256 entries are coarsened once at build time to 256-entry scan
@@ -34,9 +34,9 @@ const (
 	// codes, so reported distances match the exact kernels and only the
 	// pruning decisions are approximate — a small, *measured* recall cost
 	// (the online recall estimator and vaqreplay overlap gates quantify
-	// it). Requires LayoutBlocked; applies to ModeTIEA and ModeHeap with
-	// full subspace accumulation — ModeEA (an original-id-order contract)
-	// and truncated Subspaces queries fall back to the exact kernels.
+	// it). Applies to ModeTIEA and ModeHeap with full subspace
+	// accumulation — ModeEA (an original-id-order contract) and truncated
+	// Subspaces queries fall back to the exact kernels.
 	AccuracyFast
 )
 

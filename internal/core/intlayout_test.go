@@ -500,27 +500,19 @@ func TestSetAccuracyModeAndSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// Build must reject accuracy modes outside the enum and the fast mode on
-// the row-major layout (the integer store derives from the blocked one).
+// Build and SetAccuracyMode must reject accuracy modes outside the enum.
 func TestBuildRejectsBadAccuracyConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(433))
 	x := skewedData(rng, 200, 8, 1.0)
 	if _, err := Build(x, x, Config{NumSubspaces: 2, Budget: 10, Seed: 433, AccuracyMode: AccuracyMode(9)}); err == nil {
 		t.Fatal("Build accepted an unknown AccuracyMode")
 	}
-	_, err := Build(x, x, Config{
-		NumSubspaces: 2, Budget: 10, Seed: 433,
-		ScanLayout: LayoutRowMajor, AccuracyMode: AccuracyFast,
-	})
-	if err == nil {
-		t.Fatal("Build accepted AccuracyFast on LayoutRowMajor")
-	}
-	ix, err := Build(x, x, Config{NumSubspaces: 2, Budget: 10, Seed: 433, ScanLayout: LayoutRowMajor})
+	ix, err := Build(x, x, Config{NumSubspaces: 2, Budget: 10, Seed: 433})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.SetAccuracyMode(AccuracyFast); err == nil {
-		t.Fatal("SetAccuracyMode(fast) accepted on a row-major index")
+	if err := ix.SetAccuracyMode(AccuracyMode(9)); err == nil {
+		t.Fatal("SetAccuracyMode accepted an unknown AccuracyMode")
 	}
 }
 

@@ -8,39 +8,18 @@ import (
 	"vaq/internal/trace"
 )
 
-// ScanLayout selects the physical layout of the encoded dataset that the
-// scan kernels read. The canonical row-major codes (original id order) are
-// always kept — they are what Add, serialization and decoding operate on —
-// but the default layout additionally derives a cache-friendly copy the
-// query kernels scan instead.
-type ScanLayout int
-
-const (
-	// LayoutBlocked (default) stores a second, scan-optimized copy of the
-	// codes: each TI cluster's members are physically contiguous in the
-	// cluster's ascending-centroid-distance order, and within a cluster
-	// codes are group-transposed in blocks of blockLanes — for one block,
-	// all subspace-0 indices are adjacent, then all subspace-1 indices,
-	// and so on — so LUT accumulation streams memory sequentially.
-	// Subspaces whose dictionaries hold at most 256 entries (the common
-	// case under the paper's bit budgets) are stored as uint8, halving
-	// scan bandwidth; wider subspaces keep uint16.
-	LayoutBlocked ScanLayout = iota
-	// LayoutRowMajor is the legacy layout: kernels scan the canonical
-	// row-major codes directly, gathering one row per surviving code.
-	// Kept for A/B benchmarking.
-	LayoutRowMajor
-)
-
-func (l ScanLayout) String() string {
-	switch l {
-	case LayoutBlocked:
-		return "blocked"
-	case LayoutRowMajor:
-		return "rowmajor"
-	}
-	return "unknown"
-}
+// The query kernels scan a derived, scan-optimized copy of the encoded
+// dataset, the blocked store. The canonical row-major codes (original id
+// order) are always kept — they are what Add, serialization, decoding and
+// ModeEA operate on — and the blocked store is rebuilt from them. Each TI
+// cluster's members are physically contiguous in the cluster's
+// ascending-centroid-distance order, and within a cluster codes are
+// group-transposed in blocks of blockLanes — for one block, all
+// subspace-0 indices are adjacent, then all subspace-1 indices, and so on
+// — so LUT accumulation streams memory sequentially. Subspaces whose
+// dictionaries hold at most 256 entries (the common case under the
+// paper's bit budgets) are stored as uint8, halving scan bandwidth; wider
+// subspaces keep uint16.
 
 // blockLanes is the number of codes per transposed block. 16 lanes keep a
 // whole narrow block (blockLanes x subspaces bytes) inside a few cache
@@ -49,7 +28,7 @@ func (l ScanLayout) String() string {
 const blockLanes = 16
 
 // blockedStore is the scan-optimized physical copy of the encoded dataset
-// used by LayoutBlocked (see the constant's doc for the layout itself).
+// (see the file comment for the layout itself).
 // Cluster c occupies physical positions [start[c], start[c+1]); position p
 // holds the code of original id perm[p]. Narrow (<=256-entry dictionary)
 // subspaces live in data8, wide ones in data16; ord[s] is subspace s's
@@ -118,14 +97,14 @@ func buildBlockedStore(cb *quantizer.Codebooks, codes *quantizer.Codes, ti *tiIn
 	return bs
 }
 
-// accumChunk computes the first-EA-chunk partial distances for every lane
-// of one transposed block: acc[j] receives lane j's sum over subspaces
-// [0, chunk), each lane's terms added in subspace order (the association
-// every kernel shares). Streaming the block subspace-major replaces one
-// serial dependency chain per lane with blockLanes independent
-// accumulators, so the loads and adds of the hottest stretch of a TI+EA
-// scan — most survivors abandon at the first chunk boundary — can issue
-// in parallel.
+// accumChunk computes the partial distances over subspaces [0, chunk)
+// for every lane of one transposed block: acc[j] receives lane j's sum,
+// each lane's terms added in subspace order (the association every kernel
+// shares). Streaming the block subspace-major replaces one serial
+// dependency chain per lane with blockLanes independent accumulators, so
+// the loads and adds — of the first EA chunk in a TI+EA scan, where most
+// survivors abandon, and of every subspace in the exhaustive scan — can
+// issue in parallel.
 func (bs *blockedStore) accumChunk(dist []float32, offsets []int, q, cnt, chunk int, acc *[blockLanes]float32) {
 	for j := 0; j < cnt; j++ {
 		acc[j] = 0
@@ -135,39 +114,30 @@ func (bs *blockedStore) accumChunk(dist []float32, offsets []int, q, cnt, chunk 
 		table := dist[offsets[sI]:offsets[sI+1]]
 		if bs.narrow[sI] {
 			o := off8 + bs.ord[sI]*cnt
-			g := bs.data8[o : o+cnt]
-			j := 0
-			for ; j+4 <= cnt; j += 4 {
-				a0 := table[g[j]]
-				a1 := table[g[j+1]]
-				a2 := table[g[j+2]]
-				a3 := table[g[j+3]]
-				acc[j] += a0
-				acc[j+1] += a1
-				acc[j+2] += a2
-				acc[j+3] += a3
-			}
-			for ; j < cnt; j++ {
-				acc[j] += table[g[j]]
-			}
+			gatherAdd(table, bs.data8[o:o+cnt], acc)
 		} else {
 			o := off16 + bs.ord[sI]*cnt
-			g := bs.data16[o : o+cnt]
-			j := 0
-			for ; j+4 <= cnt; j += 4 {
-				a0 := table[g[j]]
-				a1 := table[g[j+1]]
-				a2 := table[g[j+2]]
-				a3 := table[g[j+3]]
-				acc[j] += a0
-				acc[j+1] += a1
-				acc[j+2] += a2
-				acc[j+3] += a3
-			}
-			for ; j < cnt; j++ {
-				acc[j] += table[g[j]]
-			}
+			gatherAdd(table, bs.data16[o:o+cnt], acc)
 		}
+	}
+}
+
+// gatherAdd adds table[g[j]] into acc[j] for every lane of one subspace
+// group, four independent gathers per step.
+func gatherAdd[T uint8 | uint16](table []float32, g []T, acc *[blockLanes]float32) {
+	j := 0
+	for ; j+4 <= len(g); j += 4 {
+		a0 := table[g[j]]
+		a1 := table[g[j+1]]
+		a2 := table[g[j+2]]
+		a3 := table[g[j+3]]
+		acc[j] += a0
+		acc[j+1] += a1
+		acc[j+2] += a2
+		acc[j+3] += a3
+	}
+	for ; j < len(g); j++ {
+		acc[j] += table[g[j]]
 	}
 }
 
@@ -175,17 +145,11 @@ func (bs *blockedStore) accumChunk(dist []float32, offsets []int, q, cnt, chunk 
 // subspace sI with partial distance d already accumulated (by accumChunk),
 // keeping the early-abandon cadence of eaAccumulate: q is the block's
 // first physical position, cnt its lane count, lane the code's index
-// within it. Accumulation order and float association match the row
-// kernels exactly, so both layouts produce bit-identical distances and
-// prune stats; the returned lookup count is the absolute subspace index
-// reached, covering the precomputed prefix.
+// within it. Accumulation order and float association match eaAccumulate
+// over the canonical row exactly, so distances and prune stats are
+// bit-identical to the row-major oracle; the returned lookup count is the
+// absolute subspace index reached, covering the precomputed prefix.
 func (bs *blockedStore) eaResumeLane(dist []float32, offsets []int, d float32, sI, q, cnt, lane, useSub, check int, bsf float32, notFull bool) (float32, int, bool) {
-	if bs.mW == 0 {
-		// All-narrow codes (every dictionary <= 256 entries — the common
-		// case under the paper's budgets): ord[s] == s, everything lives
-		// in data8, and the per-subspace width branch disappears.
-		return bs.eaResumeLaneNarrow(dist, offsets, d, sI, q, cnt, lane, useSub, check, bsf, notFull)
-	}
 	base8 := q*bs.mN + lane
 	base16 := q*bs.mW + lane
 	if !notFull {
@@ -217,52 +181,10 @@ func (bs *blockedStore) eaResumeLane(dist []float32, offsets []int, d float32, s
 	return d, useSub, false
 }
 
-// eaResumeLaneNarrow is eaResumeLane for all-uint8 stores: the lane's
-// terms sit cnt bytes apart starting at q*mN+lane. Same cadence, same
-// sequential float association.
-func (bs *blockedStore) eaResumeLaneNarrow(dist []float32, offsets []int, d float32, sI, q, cnt, lane, useSub, check int, bsf float32, notFull bool) (float32, int, bool) {
-	g := bs.data8[q*bs.mN+lane:]
-	if !notFull {
-		for sI+check <= useSub {
-			end := sI + check
-			for ; sI+4 <= end; sI += 4 {
-				a0 := dist[offsets[sI]+int(g[sI*cnt])]
-				a1 := dist[offsets[sI+1]+int(g[(sI+1)*cnt])]
-				a2 := dist[offsets[sI+2]+int(g[(sI+2)*cnt])]
-				a3 := dist[offsets[sI+3]+int(g[(sI+3)*cnt])]
-				d += a0
-				d += a1
-				d += a2
-				d += a3
-			}
-			for ; sI < end; sI++ {
-				d += dist[offsets[sI]+int(g[sI*cnt])]
-			}
-			if d > bsf {
-				return d, sI, true
-			}
-		}
-	}
-	for ; sI+4 <= useSub; sI += 4 {
-		a0 := dist[offsets[sI]+int(g[sI*cnt])]
-		a1 := dist[offsets[sI+1]+int(g[(sI+1)*cnt])]
-		a2 := dist[offsets[sI+2]+int(g[(sI+2)*cnt])]
-		a3 := dist[offsets[sI+3]+int(g[(sI+3)*cnt])]
-		d += a0
-		d += a1
-		d += a2
-		d += a3
-	}
-	for ; sI < useSub; sI++ {
-		d += dist[offsets[sI]+int(g[sI*cnt])]
-	}
-	return d, useSub, false
-}
-
-// scanHeapBlocked is the exhaustive scan over the blocked layout: blocks
-// stream sequentially, and each subspace group feeds a 4-wide unrolled
-// accumulation into per-lane partial sums. Per-lane addition order is the
-// subspace order, matching scanHeap's float association exactly.
+// scanHeapBlocked is the no-pruning baseline (Figure 7 "Heap"): blocks
+// stream sequentially and accumChunk accumulates every subspace of every
+// lane. Per-lane addition order is the subspace order, so distances match
+// the row-major oracle bit for bit.
 func (s *Searcher) scanHeapBlocked(useSub int) {
 	bs := s.st.blocked
 	dist, offsets := s.lut.Dist, s.lut.Offsets
@@ -274,48 +196,7 @@ func (s *Searcher) scanHeapBlocked(useSub int) {
 			if cnt > blockLanes {
 				cnt = blockLanes
 			}
-			for j := 0; j < cnt; j++ {
-				acc[j] = 0
-			}
-			off8, off16 := q*bs.mN, q*bs.mW
-			for sI := 0; sI < useSub; sI++ {
-				table := dist[offsets[sI]:offsets[sI+1]]
-				if bs.narrow[sI] {
-					o := off8 + bs.ord[sI]*cnt
-					g := bs.data8[o : o+cnt]
-					j := 0
-					for ; j+4 <= cnt; j += 4 {
-						a0 := table[g[j]]
-						a1 := table[g[j+1]]
-						a2 := table[g[j+2]]
-						a3 := table[g[j+3]]
-						acc[j] += a0
-						acc[j+1] += a1
-						acc[j+2] += a2
-						acc[j+3] += a3
-					}
-					for ; j < cnt; j++ {
-						acc[j] += table[g[j]]
-					}
-				} else {
-					o := off16 + bs.ord[sI]*cnt
-					g := bs.data16[o : o+cnt]
-					j := 0
-					for ; j+4 <= cnt; j += 4 {
-						a0 := table[g[j]]
-						a1 := table[g[j+1]]
-						a2 := table[g[j+2]]
-						a3 := table[g[j+3]]
-						acc[j] += a0
-						acc[j+1] += a1
-						acc[j+2] += a2
-						acc[j+3] += a3
-					}
-					for ; j < cnt; j++ {
-						acc[j] += table[g[j]]
-					}
-				}
-			}
+			bs.accumChunk(dist, offsets, q, cnt, useSub, &acc)
 			for j := 0; j < cnt; j++ {
 				s.topk.Push(int(bs.perm[q+j]), acc[j])
 			}
@@ -325,7 +206,9 @@ func (s *Searcher) scanHeapBlocked(useSub int) {
 	s.stats.Lookups = s.st.codes.N * useSub
 }
 
-// scanTIEABlocked is scanTIEA over the blocked layout: the visited
+// scanTIEABlocked is the full cascade (Algorithm 4): order TI clusters by
+// query distance, visit only the nearest fraction, skip members via the
+// triangle inequality, and early-abandon lookups for survivors. The visited
 // cluster's codes are physically contiguous (in exactly the member order
 // the triangle-inequality walk uses), so survivors accumulate out of a
 // cache-resident block instead of gathering random rows. When the first
@@ -333,7 +216,7 @@ func (s *Searcher) scanHeapBlocked(useSub int) {
 // partials for the whole block in one subspace-major stream; each
 // survivor then tests its precomputed partial against the threshold
 // current at ITS scan time — decisions stay per-lane, so results and
-// SearchStats match the canonical kernel bit for bit. Partials computed
+// SearchStats match the row-major oracle bit for bit. Partials computed
 // for lanes the TI bound later skips are a physical-layout artifact and
 // are not counted in Lookups, which (like every other stat) counts the
 // algorithmic work of the canonical scan.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -10,47 +11,31 @@ import (
 	"vaq/internal/vec"
 )
 
-// buildBothLayouts builds the same index twice, once per layout, with an
-// otherwise identical config.
-func buildBothLayouts(t *testing.T, x *vec.Matrix, cfg Config) (blocked, rowmajor *Index) {
+// compareWithOracle runs the queries through the production (blocked)
+// kernels and the row-major oracle and demands identical neighbors —
+// ids and distance bits — AND identical SearchStats, attribution slices
+// included: the blocked store is a physical reorganization, not an
+// algorithmic change, so every observable must match exactly.
+func compareWithOracle(t *testing.T, ix *Index, queries *vec.Matrix, k int, opt SearchOptions) {
 	t.Helper()
-	cfg.ScanLayout = LayoutBlocked
-	blocked, err := Build(x, x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ScanLayout = LayoutRowMajor
-	rowmajor, err = Build(x, x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blocked, rowmajor
-}
-
-// compareLayouts runs the same queries through both indexes and demands
-// byte-identical neighbors AND identical pruning stats: the blocked layout
-// is a physical reorganization, not an algorithmic change, so every
-// observable — ids, distances, skip/abandon counters — must match exactly.
-func compareLayouts(t *testing.T, blocked, rowmajor *Index, queries *vec.Matrix, k int, opt SearchOptions) {
-	t.Helper()
-	sb := blocked.NewSearcher()
-	sr := rowmajor.NewSearcher()
+	s := ix.NewSearcher()
+	o := ix.NewSearcher()
 	for qi := 0; qi < queries.Rows; qi++ {
-		q := queries.Row(qi)
-		rb, err := sb.Search(q, k, opt)
+		qz, err := ix.ProjectQuery(queries.Row(qi))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := sr.Search(q, k, opt)
+		got, err := s.SearchProjected(qz, k, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rb, rr) {
-			t.Fatalf("query %d opt %+v: results differ\nblocked:  %v\nrowmajor: %v", qi, opt, rb, rr)
+		want := o.oracleSearch(qz, k, opt)
+		if !sameNeighbors(got, want) {
+			t.Fatalf("query %d opt %+v: results differ\nblocked: %v\noracle:  %v", qi, opt, got, want)
 		}
-		if !reflect.DeepEqual(sb.LastStats(), sr.LastStats()) {
-			t.Fatalf("query %d opt %+v: stats differ\nblocked:  %+v\nrowmajor: %+v",
-				qi, opt, sb.LastStats(), sr.LastStats())
+		if !reflect.DeepEqual(s.LastStats(), o.LastStats()) {
+			t.Fatalf("query %d opt %+v: stats differ\nblocked: %+v\noracle:  %+v",
+				qi, opt, s.LastStats(), o.LastStats())
 		}
 	}
 }
@@ -67,85 +52,121 @@ func layoutQuerySet(rng *rand.Rand, x *vec.Matrix, count int) *vec.Matrix {
 	return qs
 }
 
-// The acceptance bar of the layout change: for every search mode and a
-// range of cluster-visit fractions, the blocked layout answers exactly like
-// the legacy row-major scan.
+// oracleOpts are the query shapes the equivalence tests sweep: both
+// blocked kernels, a range of visit fractions, and truncated accumulation
+// (the useSub < m paths; a truncated TI+EA query degrades to ModeEA).
+var oracleOpts = []SearchOptions{
+	{Mode: ModeHeap},
+	{Mode: ModeTIEA, VisitFrac: 0.25},
+	{Mode: ModeTIEA, VisitFrac: 0.5},
+	{Mode: ModeTIEA, VisitFrac: 1.0},
+	{Mode: ModeTIEA, VisitFrac: 0.5, Subspaces: 5},
+	{Mode: ModeHeap, Subspaces: 3},
+}
+
+// widthConfigs are the two code-width shapes the blocked kernels branch
+// on: MaxBits 8 keeps every dictionary uint8-addressable (all narrow);
+// MaxBits 11 lets the leading subspaces go wide (uint16) beside narrow
+// ones.
+var widthConfigs = []struct {
+	name       string
+	cfg        Config
+	wantNarrow bool // every subspace narrow
+}{
+	{"narrow", Config{NumSubspaces: 8, Budget: 56, MaxBits: 8, Seed: 311, TIClusters: 40}, true},
+	{"mixed", Config{NumSubspaces: 8, Budget: 64, MaxBits: 11, Seed: 311, TIClusters: 40}, false},
+}
+
+func checkWidths(t *testing.T, ix *Index, wantNarrow bool) {
+	t.Helper()
+	bs := ix.state.Load().blocked
+	if wantNarrow && bs.mW != 0 {
+		t.Fatalf("want all-narrow codes, got %d wide subspaces", bs.mW)
+	}
+	if !wantNarrow && (bs.mW == 0 || bs.mN == 0) {
+		t.Fatalf("want mixed widths, got %d narrow / %d wide", bs.mN, bs.mW)
+	}
+}
+
+// The acceptance bar of the blocked store: for both kernels, a range of
+// cluster-visit fractions and both code-width shapes, the blocked kernels
+// answer exactly like the row-major oracle.
 func TestScanLayoutEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	x := skewedData(rng, 2500, 32, 1.2)
-	blocked, rowmajor := buildBothLayouts(t, x, Config{
-		NumSubspaces: 8, Budget: 56, Seed: 311, TIClusters: 40,
-	})
-	if blocked.state.Load().blocked == nil {
-		t.Fatal("blocked layout index did not build its blocked store")
-	}
-	if rowmajor.state.Load().blocked != nil {
-		t.Fatal("rowmajor layout index built a blocked store")
-	}
 	qs := layoutQuerySet(rng, x, 12)
-	opts := []SearchOptions{
-		{Mode: ModeHeap},
-		{Mode: ModeEA},
-		{Mode: ModeTIEA, VisitFrac: 0.25},
-		{Mode: ModeTIEA, VisitFrac: 0.5},
-		{Mode: ModeTIEA, VisitFrac: 1.0},
+	for _, wc := range widthConfigs {
+		t.Run(wc.name, func(t *testing.T) {
+			ix, err := Build(x, x, wc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWidths(t, ix, wc.wantNarrow)
+			for _, opt := range oracleOpts {
+				compareWithOracle(t, ix, qs, 10, opt)
+			}
+		})
 	}
-	for _, opt := range opts {
-		compareLayouts(t, blocked, rowmajor, qs, 10, opt)
-	}
-	// Truncated accumulation (dimensionality-reduction mode) exercises the
-	// useSub < m paths of the blocked kernels.
-	compareLayouts(t, blocked, rowmajor, qs, 10, SearchOptions{Mode: ModeTIEA, VisitFrac: 0.5, Subspaces: 5})
-	compareLayouts(t, blocked, rowmajor, qs, 10, SearchOptions{Mode: ModeHeap, Subspaces: 3})
 }
 
 // Wide dictionaries (more than 8 bits per subspace) must take the uint16
-// group path. MinBits=9 forces every dictionary past 256 entries.
+// group path everywhere. MinBits=9 forces every dictionary past 256
+// entries.
 func TestScanLayoutEquivalenceWideCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
 	x := skewedData(rng, 1600, 16, 1.0)
-	blocked, rowmajor := buildBothLayouts(t, x, Config{
+	ix, err := Build(x, x, Config{
 		NumSubspaces: 4, Budget: 38, MinBits: 9, MaxBits: 10,
 		Seed: 313, TIClusters: 20, KMeansIters: 8,
 	})
-	bs := blocked.state.Load().blocked
-	if bs.mW == 0 {
-		t.Fatal("expected at least one wide (uint16) subspace under MinBits=9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs := ix.state.Load().blocked; bs.mN != 0 {
+		t.Fatalf("expected all-wide codes under MinBits=9, got %d narrow", bs.mN)
 	}
 	qs := layoutQuerySet(rng, x, 8)
-	for _, opt := range []SearchOptions{
-		{Mode: ModeHeap},
-		{Mode: ModeEA},
-		{Mode: ModeTIEA, VisitFrac: 0.5},
-	} {
-		compareLayouts(t, blocked, rowmajor, qs, 10, opt)
+	for _, opt := range []SearchOptions{{Mode: ModeHeap}, {Mode: ModeTIEA, VisitFrac: 0.5}} {
+		compareWithOracle(t, ix, qs, 10, opt)
 	}
 }
 
-// Add must leave the two layouts equivalent: the blocked store is rebuilt
-// from the grown code set and the re-threaded clusters.
+// Add and a WriteTo/Read round trip must keep the blocked kernels
+// equivalent to the oracle: the blocked store is rebuilt from the grown
+// code set and re-threaded clusters, and rebuilt again on load.
 func TestScanLayoutEquivalenceAfterAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(317))
-	x := skewedData(rng, 1200, 24, 1.1)
-	extra := skewedData(rng, 300, 24, 1.1)
-	blocked, rowmajor := buildBothLayouts(t, x, Config{
-		NumSubspaces: 6, Budget: 42, Seed: 317, TIClusters: 25,
-	})
-	for _, ix := range []*Index{blocked, rowmajor} {
-		if _, err := ix.Add(extra); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := blocked.state.Load().blocked.perm; len(got) != 1500 {
-		t.Fatalf("blocked store not rebuilt after Add: %d positions, want 1500", len(got))
-	}
+	x := skewedData(rng, 1200, 32, 1.1)
+	extra := skewedData(rng, 300, 32, 1.1)
 	qs := layoutQuerySet(rng, x, 8)
-	for _, opt := range []SearchOptions{
-		{Mode: ModeHeap},
-		{Mode: ModeEA},
-		{Mode: ModeTIEA, VisitFrac: 0.5},
-	} {
-		compareLayouts(t, blocked, rowmajor, qs, 10, opt)
+	for _, wc := range widthConfigs {
+		t.Run(wc.name, func(t *testing.T) {
+			ix, err := Build(x, x, wc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ix.Add(extra); err != nil {
+				t.Fatal(err)
+			}
+			if got := ix.state.Load().blocked.perm; len(got) != 1500 {
+				t.Fatalf("blocked store not rebuilt after Add: %d positions, want 1500", len(got))
+			}
+			checkWidths(t, ix, wc.wantNarrow)
+			for _, opt := range oracleOpts {
+				compareWithOracle(t, ix, qs, 10, opt)
+			}
+			var buf bytes.Buffer
+			if _, err := ix.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opt := range oracleOpts {
+				compareWithOracle(t, loaded, qs, 10, opt)
+			}
+		})
 	}
 }
 
@@ -155,7 +176,7 @@ func TestScanLayoutEquivalenceAfterAdd(t *testing.T) {
 func TestBlockedStoreMatchesCanonicalCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(331))
 	x := skewedData(rng, 900, 16, 1.0)
-	cfg := Config{NumSubspaces: 4, Budget: 28, Seed: 331, TIClusters: 15, ScanLayout: LayoutBlocked}
+	cfg := Config{NumSubspaces: 4, Budget: 28, Seed: 331, TIClusters: 15}
 	ix, err := Build(x, x, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -205,77 +226,91 @@ func TestBlockedStoreMatchesCanonicalCodes(t *testing.T) {
 	}
 }
 
-// A v2 round trip preserves the layout setting and rebuilds the blocked
-// store, and a pre-ScanLayout (version 1) stream still loads, defaulting
-// to the blocked layout.
+// layoutWordOffset is the byte offset of the v2 layout word: magic (4),
+// version (8), then twelve fixed config words.
+const layoutWordOffset = 4 + 8 + 12*8
+
+// Every stream shape loads onto the blocked store and answers exactly like
+// the index that wrote it, stats included: v1 (no layout word), v2 with
+// word 0 (what WriteTo writes) and v2 with word 1 (what a row-major index
+// wrote). Any other word is refused.
 func TestSerializeLayoutRoundTripAndLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(337))
 	x := skewedData(rng, 1000, 16, 1.0)
-	q := append([]float32(nil), x.Row(3)...)
-	for _, layout := range []ScanLayout{LayoutBlocked, LayoutRowMajor} {
-		ix, err := Build(x, x, Config{
-			NumSubspaces: 4, Budget: 28, Seed: 337, TIClusters: 15, ScanLayout: layout,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded.Layout() != layout {
-			t.Fatalf("round trip: layout %v, want %v", loaded.Layout(), layout)
-		}
-		if (loaded.state.Load().blocked != nil) != (layout == LayoutBlocked) {
-			t.Fatalf("layout %v: blocked store presence wrong after load", layout)
-		}
-		want, err := ix.SearchWith(q, 5, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.SearchWith(q, 5, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("layout %v: loaded index answers differently", layout)
-		}
-	}
-
-	// Legacy: an index written in the version-1 format (no ScanLayout
-	// field) must load, default to the blocked layout, and search.
+	qs := layoutQuerySet(rng, x, 6)
 	ix, err := Build(x, x, Config{NumSubspaces: 4, Budget: 28, Seed: 337, TIClusters: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	if err := ix.writeBody(&legacy, 1, ix.state.Load()); err != nil {
+	var v1, v2 bytes.Buffer
+	if err := ix.writeBody(&v1, 1, ix.state.Load()); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Read(&legacy)
-	if err != nil {
-		t.Fatalf("version-1 stream failed to load: %v", err)
+	if _, err := ix.WriteTo(&v2); err != nil {
+		t.Fatal(err)
 	}
-	if loaded.Layout() != LayoutBlocked {
-		t.Fatalf("v1 load: layout %v, want default LayoutBlocked", loaded.Layout())
+	if w := binary.LittleEndian.Uint64(v2.Bytes()[layoutWordOffset:]); w != 0 {
+		t.Fatalf("WriteTo wrote layout word %d, want 0", w)
 	}
-	if loaded.state.Load().blocked == nil {
-		t.Fatal("v1 load: blocked store not rebuilt")
+	withWord := func(w uint64) []byte {
+		b := bytes.Clone(v2.Bytes())
+		binary.LittleEndian.PutUint64(b[layoutWordOffset:], w)
+		return b
 	}
-	want, err := ix.SearchWith(q, 5, SearchOptions{})
+	streams := []struct {
+		name string
+		data []byte
+	}{
+		{"v1", v1.Bytes()},
+		{"v2/0", v2.Bytes()},
+		{"v2/1", withWord(1)},
+	}
+	for _, st := range streams {
+		loaded, err := Read(bytes.NewReader(st.data))
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if loaded.state.Load().blocked == nil {
+			t.Fatalf("%s: blocked store not rebuilt", st.name)
+		}
+		sw, sg := ix.NewSearcher(), loaded.NewSearcher()
+		for _, opt := range []SearchOptions{{Mode: ModeHeap}, {Mode: ModeTIEA, VisitFrac: 0.5}} {
+			for qi := 0; qi < qs.Rows; qi++ {
+				want, err := sw.Search(qs.Row(qi), 5, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sg.Search(qs.Row(qi), 5, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameNeighbors(want, got) {
+					t.Fatalf("%s query %d opt %+v: loaded index answers differently", st.name, qi, opt)
+				}
+				if !reflect.DeepEqual(sw.LastStats(), sg.LastStats()) {
+					t.Fatalf("%s query %d opt %+v: stats differ\nwritten: %+v\nloaded:  %+v",
+						st.name, qi, opt, sw.LastStats(), sg.LastStats())
+				}
+			}
+		}
+	}
+	if _, err := Read(bytes.NewReader(withWord(2))); err == nil {
+		t.Fatal("Read accepted layout word 2")
+	}
+}
+
+// The config fingerprint is pinned: workload captures and benchmark
+// baselines committed to the repository carry fingerprints minted when
+// the scan layout was a setting, and must keep matching a rebuild.
+func TestConfigFingerprintPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(439))
+	x := skewedData(rng, 400, 8, 1.0)
+	ix, err := Build(x, x, Config{NumSubspaces: 2, Budget: 10, Seed: 439, TIClusters: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.SearchWith(q, 5, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("v1 load: loaded index answers differently")
+	if got, want := ix.ConfigFingerprint(), "1b5e76475839c9a0"; got != want {
+		t.Fatalf("ConfigFingerprint() = %s, want %s", got, want)
 	}
 }
 
@@ -312,15 +347,5 @@ func TestSelectNearestClustersMatchesSort(t *testing.T) {
 					trial, n, visit, i, s.clustIdx[i], ref[i])
 			}
 		}
-	}
-}
-
-// Build must reject layouts outside the enum.
-func TestBuildRejectsUnknownLayout(t *testing.T) {
-	rng := rand.New(rand.NewSource(341))
-	x := skewedData(rng, 200, 8, 1.0)
-	_, err := Build(x, x, Config{NumSubspaces: 2, Budget: 10, Seed: 341, ScanLayout: ScanLayout(9)})
-	if err == nil {
-		t.Fatal("Build accepted an unknown ScanLayout")
 	}
 }

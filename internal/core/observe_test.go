@@ -152,47 +152,45 @@ func TestTracingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTracingLayoutParity: both scan layouts emit the same span structure
-// with identical attribution (timings differ, structure must not).
+// TestTracingLayoutParity: the blocked kernel emits the same span
+// structure as the row-major oracle with identical attribution (timings
+// differ, structure must not).
 func TestTracingLayoutParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	x := skewedData(rng, 2000, 32, 1.2)
-	base := Config{NumSubspaces: 8, Budget: 56, Seed: 311, TIClusters: 40}
-	blocked, err := Build(x, x, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.ScanLayout = LayoutRowMajor
-	rowmajor, err := Build(x, x, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := blocked.EnableTracing(trace.Config{SlowThreshold: 1})
-	tra := rowmajor.EnableTracing(trace.Config{SlowThreshold: 1})
-	sb, sr := blocked.NewSearcher(), rowmajor.NewSearcher()
-	for i := 0; i < 5; i++ {
-		if _, err := sb.Search(x.Row(i), 10, SearchOptions{}); err != nil {
+	for _, wc := range widthConfigs {
+		ix, err := Build(x, x, wc.cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sr.Search(x.Row(i), 10, SearchOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		qb := tb.Recent()[i]
-		qr := tra.Recent()[i]
-		cb := clusterSpansByCluster(qb)
-		cr := clusterSpansByCluster(qr)
-		if len(cb) != len(cr) {
-			t.Fatalf("query %d: %d vs %d cluster spans", i, len(cb), len(cr))
-		}
-		for c, spb := range cb {
-			spr, ok := cr[c]
-			if !ok {
-				t.Fatalf("query %d: cluster %d only traced in blocked layout", i, c)
+		tb := ix.EnableTracing(trace.Config{SlowThreshold: 1})
+		tro := trace.New(trace.Config{SlowThreshold: 1})
+		sb, so := ix.NewSearcher(), ix.NewSearcher()
+		so.AttachTracer(tro)
+		for i := 0; i < 5; i++ {
+			qz, err := ix.ProjectQuery(x.Row(i))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if spb.Rank != spr.Rank || spb.Count != spr.Count ||
-				spb.SkippedTI != spr.SkippedTI || spb.AbandonedEA != spr.AbandonedEA ||
-				spb.Lookups != spr.Lookups {
-				t.Errorf("query %d cluster %d attribution differs:\nblocked  %+v\nrowmajor %+v", i, c, spb, spr)
+			if _, err := sb.SearchProjected(qz, 10, SearchOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			so.oracleSearch(qz, 10, SearchOptions{})
+			cb := clusterSpansByCluster(tb.Recent()[i])
+			co := clusterSpansByCluster(tro.Recent()[i])
+			if len(cb) != len(co) {
+				t.Fatalf("%s query %d: %d vs %d cluster spans", wc.name, i, len(cb), len(co))
+			}
+			for c, spb := range cb {
+				spo, ok := co[c]
+				if !ok {
+					t.Fatalf("%s query %d: cluster %d only traced by the blocked kernel", wc.name, i, c)
+				}
+				if spb.Rank != spo.Rank || spb.Count != spo.Count ||
+					spb.SkippedTI != spo.SkippedTI || spb.AbandonedEA != spo.AbandonedEA ||
+					spb.Lookups != spo.Lookups {
+					t.Errorf("%s query %d cluster %d attribution differs:\nblocked %+v\noracle  %+v", wc.name, i, c, spb, spo)
+				}
 			}
 		}
 	}
@@ -209,49 +207,54 @@ func clusterSpansByCluster(qt *trace.QueryTrace) map[int]trace.Span {
 }
 
 // TestAttributionSumsMatchCounters: per-query attribution histograms must
-// total exactly the scalar counters, in every mode and both layouts.
+// total exactly the scalar counters in every mode, and equal the row-major
+// oracle's histograms entry for entry.
 func TestAttributionSumsMatchCounters(t *testing.T) {
-	for _, layout := range []ScanLayout{LayoutBlocked, LayoutRowMajor} {
-		ix, x := observeTestIndex(t, Config{NumSubspaces: 8, Budget: 48, Seed: 907, TIClusters: 30, ScanLayout: layout})
-		s := ix.NewSearcher()
-		for _, opt := range []SearchOptions{
-			{}, {VisitFrac: 1}, {Mode: ModeEA}, {Mode: ModeHeap}, {Subspaces: 5},
-		} {
-			for i := 0; i < 5; i++ {
-				if _, err := s.Search(x.Row(i), 10, opt); err != nil {
-					t.Fatal(err)
-				}
-				st := s.LastStats()
-				var depths, ranks int
-				for _, v := range st.AbandonDepths {
-					depths += int(v)
-				}
-				for _, v := range st.TISkipsByRank {
-					ranks += int(v)
-				}
-				if depths != st.CodesAbandonedEA {
-					t.Fatalf("layout %v opt %+v: abandon depths sum %d != %d abandons",
-						layout, opt, depths, st.CodesAbandonedEA)
-				}
-				if ranks != st.CodesSkippedTI {
-					t.Fatalf("layout %v opt %+v: rank skips sum %d != %d TI skips",
-						layout, opt, ranks, st.CodesSkippedTI)
-				}
+	ix, x := observeTestIndex(t, Config{NumSubspaces: 8, Budget: 48, Seed: 907, TIClusters: 30})
+	s, o := ix.NewSearcher(), ix.NewSearcher()
+	for _, opt := range []SearchOptions{
+		{}, {VisitFrac: 1}, {Mode: ModeEA}, {Mode: ModeHeap}, {Subspaces: 5},
+	} {
+		for i := 0; i < 5; i++ {
+			qz, err := ix.ProjectQuery(x.Row(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.SearchProjected(qz, 10, opt); err != nil {
+				t.Fatal(err)
+			}
+			st := s.LastStats()
+			var depths, ranks int
+			for _, v := range st.AbandonDepths {
+				depths += int(v)
+			}
+			for _, v := range st.TISkipsByRank {
+				ranks += int(v)
+			}
+			if depths != st.CodesAbandonedEA {
+				t.Fatalf("opt %+v: abandon depths sum %d != %d abandons", opt, depths, st.CodesAbandonedEA)
+			}
+			if ranks != st.CodesSkippedTI {
+				t.Fatalf("opt %+v: rank skips sum %d != %d TI skips", opt, ranks, st.CodesSkippedTI)
+			}
+			o.oracleSearch(qz, 10, opt)
+			if !reflect.DeepEqual(st, o.LastStats()) {
+				t.Fatalf("opt %+v: attribution differs from oracle\nblocked: %+v\noracle:  %+v", opt, st, o.LastStats())
 			}
 		}
-		// And the registry folded the same totals.
-		snap := ix.Metrics().Snapshot()
-		var depths, ranks uint64
-		for _, v := range snap.AbandonDepths {
-			depths += v
-		}
-		for _, v := range snap.TISkipsByRank {
-			ranks += v
-		}
-		if depths != snap.CodesAbandonedEA || ranks != snap.CodesSkippedTI {
-			t.Fatalf("layout %v: registry attribution (%d,%d) != counters (%d,%d)",
-				layout, depths, ranks, snap.CodesAbandonedEA, snap.CodesSkippedTI)
-		}
+	}
+	// And the registry folded the same totals.
+	snap := ix.Metrics().Snapshot()
+	var depths, ranks uint64
+	for _, v := range snap.AbandonDepths {
+		depths += v
+	}
+	for _, v := range snap.TISkipsByRank {
+		ranks += v
+	}
+	if depths != snap.CodesAbandonedEA || ranks != snap.CodesSkippedTI {
+		t.Fatalf("registry attribution (%d,%d) != counters (%d,%d)",
+			depths, ranks, snap.CodesAbandonedEA, snap.CodesSkippedTI)
 	}
 }
 
@@ -370,7 +373,7 @@ func TestStructuredLogging(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"vaq.build", "vaq.add", "vaq.serialize", "vaq.read", "layout=blocked"} {
+	for _, want := range []string{"vaq.build", "vaq.add", "vaq.serialize", "vaq.read", "layout_build="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("log output missing %q:\n%s", want, out)
 		}

@@ -223,6 +223,10 @@ func (s *Searcher) SearchProjected(qz []float32, k int, opt SearchOptions) ([]ve
 		s.ix.metrics.RecordError()
 		return nil, fmt.Errorf("core: projected query dim %d, want %d", len(qz), s.ix.cb.Sub.Dim())
 	}
+	if err := vec.CheckFiniteVec(qz); err != nil {
+		s.ix.metrics.RecordError()
+		return nil, fmt.Errorf("core: query: %w", err)
+	}
 	s.rawQ = nil
 	return s.run(qz, k, opt), nil
 }
@@ -316,24 +320,19 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	case ModeHeap:
 		if fast {
 			s.scanHeapFast()
-		} else if s.st.blocked != nil {
-			s.scanHeapBlocked(useSub)
 		} else {
-			s.scanHeap(useSub)
+			s.scanHeapBlocked(useSub)
 		}
 	case ModeEA:
 		// EA's observable semantics (threshold evolution, abandon counts)
 		// are tied to its original-id scan order, which is already a
-		// sequential walk of the canonical row-major codes — both layouts
-		// share this kernel.
+		// sequential walk of the canonical row-major codes.
 		s.scanEA(useSub)
 	default:
 		if fast {
 			s.scanTIEAFast(qz, opt.VisitFrac)
-		} else if s.st.blocked != nil {
-			s.scanTIEABlocked(qz, opt.VisitFrac, useSub)
 		} else {
-			s.scanTIEA(qz, opt.VisitFrac, useSub)
+			s.scanTIEABlocked(qz, opt.VisitFrac, useSub)
 		}
 	}
 	if rec.Active() && mode != ModeTIEA {
@@ -423,8 +422,8 @@ func (s *Searcher) shadowRecallSample(qz []float32, k int, approx []vec.Neighbor
 // boundaries and the tail after the last full chunk is never tested —
 // while replacing the modulo with loop structure and giving the compiler
 // a 4-wide unrolled body whose loads can issue in parallel. Additions stay
-// strictly sequential in subspace order so every kernel (and both scan
-// layouts) produces bit-identical float32 distances.
+// strictly sequential in subspace order so every exact kernel produces
+// bit-identical float32 distances.
 func eaAccumulate(dist []float32, offsets []int, row []uint16, useSub, check int, bsf float32, notFull bool) (float32, int, bool) {
 	var d float32
 	sI := 0
@@ -463,24 +462,6 @@ func eaAccumulate(dist []float32, offsets []int, row []uint16, useSub, check int
 		d += dist[offsets[sI]+int(row[sI])]
 	}
 	return d, useSub, false
-}
-
-// scanHeap is the no-pruning baseline: accumulate every subspace of every
-// code (Figure 7 "Heap").
-func (s *Searcher) scanHeap(useSub int) {
-	codes := s.st.codes
-	lut := s.lut
-	m := codes.M
-	for i := 0; i < codes.N; i++ {
-		row := codes.Data[i*m : i*m+useSub]
-		var d float32
-		for sI, c := range row {
-			d += lut.Dist[lut.Offsets[sI]+int(c)]
-		}
-		s.topk.Push(i, d)
-	}
-	s.stats.CodesConsidered = codes.N
-	s.stats.Lookups = codes.N * useSub
 }
 
 // scanEA scans every code but early-abandons the subspace accumulation
@@ -669,85 +650,6 @@ func clusterDistLess(a, b int, d []float32) bool {
 		return d[a] < d[b]
 	}
 	return a < b
-}
-
-// scanTIEA is the full cascade (Algorithm 4): order TI clusters by query
-// distance, visit only the nearest fraction, skip members via the triangle
-// inequality, and early-abandon lookups for survivors.
-func (s *Searcher) scanTIEA(qz []float32, visitFrac float64, useSub int) {
-	ix := s.ix
-	ti := s.st.ti
-	codes := s.st.codes
-	dist, offsets := s.lut.Dist, s.lut.Offsets
-	m := codes.M
-	check := ix.cfg.EACheckEvery
-	rec := s.rec
-	rankStart := rec.Clock()
-	visit := s.orderClusters(qz, visitFrac)
-	if rec.Active() {
-		rec.Add(trace.Span{Name: trace.SpanClusterRank, Start: rankStart, Dur: rec.Clock() - rankStart, Count: visit})
-	}
-	s.stats.ClustersVisited = visit
-	for v := 0; v < visit; v++ {
-		c := s.clustIdx[v]
-		rk := clampRank(v, len(s.stats.TISkipsByRank))
-		var spanStart time.Duration
-		var before SearchStats
-		if rec.Active() {
-			spanStart = rec.Clock()
-			before = s.stats
-		}
-		// The ranking sorted squared distances; the triangle bound needs
-		// the plain distance, taken only for the visited fraction.
-		dq := float32(math.Sqrt(float64(s.clustD[c])))
-		members := ti.clusters[c]
-		s.stats.CodesConsidered += len(members)
-		for mi, e := range members {
-			if s.topk.Pruning() {
-				bsfSq := s.topk.Threshold()
-				// Triangle inequality in the prefix space: the
-				// query-to-member distance is at least |dq - ds|, and the
-				// full ADC distance is at least the squared prefix bound.
-				diff := dq - e.dist
-				if diff < 0 {
-					diff = -diff
-				}
-				if diff*diff >= bsfSq {
-					if e.dist >= dq {
-						// Members are sorted ascending by ds: every later
-						// member has an even larger bound. Stop the cluster.
-						s.stats.CodesSkippedTI += len(members) - mi
-						if s.stats.TISkipsByRank != nil {
-							s.stats.TISkipsByRank[rk] += uint32(len(members) - mi)
-						}
-						break
-					}
-					s.stats.CodesSkippedTI++
-					if s.stats.TISkipsByRank != nil {
-						s.stats.TISkipsByRank[rk]++
-					}
-					continue
-				}
-			}
-			// Early-abandon accumulation for the survivor.
-			row := codes.Data[e.id*m : e.id*m+useSub]
-			bsf := s.topk.Threshold()
-			notFull := !s.topk.Pruning()
-			d, lookups, abandoned := eaAccumulate(dist, offsets, row, useSub, check, bsf, notFull)
-			s.stats.Lookups += lookups
-			if abandoned {
-				s.stats.CodesAbandonedEA++
-				if s.stats.AbandonDepths != nil {
-					s.stats.AbandonDepths[lookups]++
-				}
-			} else {
-				s.topk.Push(e.id, d)
-			}
-		}
-		if rec.Active() {
-			rec.Add(clusterScanSpan(spanStart, rec.Clock(), c, v, len(members), &before, &s.stats))
-		}
-	}
 }
 
 // clampRank maps a cluster visit rank into the attribution buckets (the

@@ -21,7 +21,7 @@ import (
 // Serialization format (little-endian):
 //
 //	magic "VAQI", version u16
-//	config block (fixed-width fields; v2 appends ScanLayout)
+//	config block (fixed-width fields; v2 appends a layout word, always 0)
 //	pca: eigenvalues []f64, components Dense, hasMean u8 [+ mean []f64]
 //	layout: m u32, lengths []u32, bits []u32, ratios []f64, subVar []f64
 //	codebooks: m matrices
@@ -30,9 +30,12 @@ import (
 //	    then per cluster: len u32, entries (id u32, dist f32)
 //
 // The codes are always stored canonically (row-major, original id order);
-// the blocked scan layout is a deterministic function of the codes and the
-// TI structure, so it is rebuilt on load rather than serialized. Version 1
-// predates ScanLayout: v1 streams still load and get the default layout.
+// the blocked scan store is a deterministic function of the codes and the
+// TI structure, so it is rebuilt on load rather than serialized. The v2
+// layout word once selected between the blocked and a row-major scan (0
+// and 1); both scans answer identically, so Read accepts either value and
+// every stream — v1, which predates the word, included — loads onto the
+// blocked store.
 //
 // Codebooks are written in their in-memory row order, which since the
 // bounded encoder is ascending by first coordinate. The format does not
@@ -98,8 +101,8 @@ func readF64(r io.Reader) (float64, error) {
 }
 
 // writeBody emits the serialized index, in state st, at the requested
-// format version. Version 1 (the pre-ScanLayout format) is kept writable so
-// tests can prove legacy streams still load.
+// format version. Version 1 (the format without the layout word) is kept
+// writable so tests can prove legacy streams still load.
 func (ix *Index) writeBody(w io.Writer, version uint64, st *state) error {
 	if _, err := w.Write(magicIndex[:]); err != nil {
 		return err
@@ -116,7 +119,7 @@ func (ix *Index) writeBody(w io.Writer, version uint64, st *state) error {
 		boolU64(cfg.DisablePartialBalance), boolU64(cfg.CenterPCA), uint64(cfg.Alloc),
 	}
 	if version >= 2 {
-		vals = append(vals, uint64(cfg.ScanLayout))
+		vals = append(vals, 0) // layout word
 	}
 	for _, v := range vals {
 		if err := writeU64(w, v); err != nil {
@@ -241,7 +244,6 @@ func ReadLogged(r io.Reader, l *slog.Logger) (*Index, error) {
 			slog.Int("n", ix.Len()),
 			slog.Int("dim", ix.queryDim),
 			slog.Int("subspaces", ix.cb.Sub.M()),
-			slog.String("layout", ix.cfg.ScanLayout.String()),
 			slog.Duration("total", time.Since(start)))
 	}
 	return ix, nil
@@ -285,16 +287,14 @@ func Read(r io.Reader) (*Index, error) {
 		Alloc:                 AllocStrategy(cfgVals[11]),
 	}
 	if version >= 2 {
-		layoutU, err := readU64(br)
+		layout, err := readU64(br)
 		if err != nil {
 			return nil, err
 		}
-		cfg.ScanLayout = ScanLayout(layoutU)
-		if cfg.ScanLayout != LayoutBlocked && cfg.ScanLayout != LayoutRowMajor {
-			return nil, fmt.Errorf("core: unknown ScanLayout %d", layoutU)
+		if layout > 1 {
+			return nil, fmt.Errorf("core: unknown layout word %d", layout)
 		}
 	}
-	// v1 predates ScanLayout; the zero value is the blocked default.
 	if cfg.TargetVariance, err = readF64(br); err != nil {
 		return nil, err
 	}
@@ -435,12 +435,9 @@ func Read(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The blocked layout is derived, not stored: rebuild it here so the
+	// The blocked store is derived, not stored: rebuild it here so the
 	// loaded index scans exactly like a freshly built one.
-	var blocked *blockedStore
-	if cfg.ScanLayout == LayoutBlocked {
-		blocked = buildBlockedStore(cb, codes, ti)
-	}
+	blocked := buildBlockedStore(cb, codes, ti)
 	ix := &Index{
 		cfg:      cfg,
 		model:    model,

@@ -57,14 +57,8 @@ func Train(train *vec.Matrix, cfg Config) (*Trained, error) {
 	if m < 1 || m > d {
 		return nil, fmt.Errorf("core: NumSubspaces=%d invalid for %d dimensions", m, d)
 	}
-	if cfg.ScanLayout != LayoutBlocked && cfg.ScanLayout != LayoutRowMajor {
-		return nil, fmt.Errorf("core: unknown ScanLayout %d", cfg.ScanLayout)
-	}
 	if cfg.AccuracyMode != AccuracyExact && cfg.AccuracyMode != AccuracyFast {
 		return nil, fmt.Errorf("core: unknown AccuracyMode %d", cfg.AccuracyMode)
-	}
-	if cfg.AccuracyMode == AccuracyFast && cfg.ScanLayout != LayoutBlocked {
-		return nil, errors.New("core: AccuracyFast requires LayoutBlocked")
 	}
 	if err := vec.CheckFinite(train); err != nil {
 		return nil, fmt.Errorf("core: train: %w", err)
@@ -155,7 +149,7 @@ func (t *Trained) Config() Config { return t.cfg }
 
 // EncodeIndex quantizes data against the trained dictionaries and
 // assembles a fully searchable Index (codes, TI skip structure, scan
-// layouts, diagnostics baseline). Safe for concurrent use: a single
+// stores, diagnostics baseline). Safe for concurrent use: a single
 // Trained can encode independent partitions in parallel.
 func (t *Trained) EncodeIndex(data *vec.Matrix) (*Index, error) {
 	return t.encodeIndex(data, nil)
@@ -209,16 +203,13 @@ func (t *Trained) encodeIndex(data, dataZ *vec.Matrix) (*Index, error) {
 
 	// Step 7: derive the scan-optimized physical layout (cluster-
 	// contiguous, blocked-transposed, uint8 where dictionaries allow).
-	var blocked *blockedStore
+	phase = time.Now()
+	blocked := buildBlockedStore(t.cb, codes, ti)
 	var fast *fastStore
-	if cfg.ScanLayout == LayoutBlocked {
-		phase = time.Now()
-		blocked = buildBlockedStore(t.cb, codes, ti)
-		if cfg.AccuracyMode == AccuracyFast {
-			fast = buildFastStore(t.cb, codes, ti, cfg.Seed, nil)
-		}
-		report.Layout = time.Since(phase)
+	if cfg.AccuracyMode == AccuracyFast {
+		fast = buildFastStore(t.cb, codes, ti, cfg.Seed, nil)
 	}
+	report.Layout = time.Since(phase)
 	// Step 8: the diagnostics baseline — the Build-time IndexReport. The
 	// projected dataset is still on hand here, so the distortion fields
 	// are exact; Diagnose carries them forward once dataZ is gone.
@@ -264,7 +255,6 @@ func (t *Trained) encodeIndex(data, dataZ *vec.Matrix) (*Index, error) {
 			slog.Int("n", data.Rows), slog.Int("dim", t.queryDim),
 			slog.Int("subspaces", m), slog.Int("budget", cfg.Budget),
 			slog.Int("ti_clusters", len(ti.clusters)),
-			slog.String("layout", cfg.ScanLayout.String()),
 			slog.String("accuracy", cfg.AccuracyMode.String()),
 			slog.Duration("pca", report.PCA),
 			slog.Duration("allocation", report.Allocation),

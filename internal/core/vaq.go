@@ -73,19 +73,13 @@ type Config struct {
 	// Recording costs a handful of atomic adds per query (measurably
 	// under 2% of a search), so the default is on.
 	DisableMetrics bool
-	// ScanLayout selects the physical layout the query kernels scan
-	// (default LayoutBlocked: cluster-contiguous blocked-transposed codes
-	// with a uint8 fast path; LayoutRowMajor keeps the legacy row-major
-	// scan for A/B benchmarking). Both layouts return identical results
-	// and prune stats.
-	ScanLayout ScanLayout
 	// AccuracyMode selects the scan arithmetic (default AccuracyExact:
 	// the bit-identical float32 kernels). AccuracyFast derives an integer
 	// companion store from the blocked layout — uint8-quantized lookup
 	// tables, 4-bit codes packed two per byte where dictionaries fit 16
 	// entries — trading a small, measured recall cost for scan throughput.
-	// Requires LayoutBlocked. Runtime-only, never serialized: loaded
-	// indexes start exact and opt in via SetAccuracyMode.
+	// Runtime-only, never serialized: loaded indexes start exact and opt
+	// in via SetAccuracyMode.
 	AccuracyMode AccuracyMode
 	// RecallSampleRate enables the online recall estimator: roughly this
 	// fraction of queries (deterministically every round(1/rate)-th) is
@@ -266,9 +260,6 @@ func (ix *Index) CodeBytes() int { return ix.state.Load().codes.Bytes(ix.bits) }
 // TIClusterCount reports how many triangle-inequality clusters were built.
 func (ix *Index) TIClusterCount() int { return len(ix.state.Load().ti.clusters) }
 
-// Layout reports the physical scan layout the query kernels use.
-func (ix *Index) Layout() ScanLayout { return ix.cfg.ScanLayout }
-
 // Accuracy reports the scan arithmetic mode the query kernels use.
 func (ix *Index) Accuracy() AccuracyMode {
 	if ix.state.Load().fast != nil {
@@ -287,9 +278,6 @@ func (ix *Index) Accuracy() AccuracyMode {
 func (ix *Index) SetAccuracyMode(mode AccuracyMode) error {
 	if mode != AccuracyExact && mode != AccuracyFast {
 		return fmt.Errorf("core: unknown AccuracyMode %d", mode)
-	}
-	if mode == AccuracyFast && ix.cfg.ScanLayout != LayoutBlocked {
-		return errors.New("core: AccuracyFast requires LayoutBlocked")
 	}
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
@@ -346,6 +334,9 @@ func (ix *Index) RecallSampling() (everyNth uint64) { return ix.recallEvery }
 func (ix *Index) ProjectQuery(q []float32) ([]float32, error) {
 	if len(q) != ix.queryDim {
 		return nil, fmt.Errorf("core: query dim %d, index dim %d", len(q), ix.queryDim)
+	}
+	if err := vec.CheckFiniteVec(q); err != nil {
+		return nil, fmt.Errorf("core: query: %w", err)
 	}
 	return ix.model.ProjectVec(q)
 }

@@ -29,7 +29,9 @@ type fingerprintConfig struct {
 	DefaultVisitFrac  float64 `json:"visit_frac"`
 	EACheckEvery      int     `json:"ea_check_every"`
 	Seed              int64   `json:"seed"`
-	Layout            string  `json:"layout"`
+	// Layout is the constant "blocked": committed workload captures and
+	// benchmark baselines carry fingerprints minted when it was a setting.
+	Layout string `json:"layout"`
 	// Accuracy is "" for exact mode (omitted, so every fingerprint minted
 	// before the integer kernel existed is unchanged) and "fast" when the
 	// integer kernel answers queries — a different-answers config.
@@ -56,7 +58,7 @@ func (ix *Index) ConfigFingerprint() string {
 		DefaultVisitFrac:  ix.cfg.DefaultVisitFrac,
 		EACheckEvery:      ix.cfg.EACheckEvery,
 		Seed:              ix.cfg.Seed,
-		Layout:            ix.cfg.ScanLayout.String(),
+		Layout:            "blocked",
 	}
 	if mode := ix.Accuracy(); mode != AccuracyExact {
 		fp.Accuracy = mode.String()

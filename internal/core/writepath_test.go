@@ -83,6 +83,62 @@ func TestLenBesideAdd(t *testing.T) {
 	}
 }
 
+// A query holding a NaN or an infinity has no nearest neighbors: Search
+// and SearchProjected refuse it with ErrNonFinite in both accuracy modes,
+// and count it as a failed query.
+func TestNonFiniteQueryRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	x := skewedData(rng, 400, 8, 1.0)
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	poisoned := func(q []float32, col int, v float32) []float32 {
+		out := append([]float32(nil), q...)
+		out[col] = v
+		return out
+	}
+	for _, acc := range []AccuracyMode{AccuracyExact, AccuracyFast} {
+		ix, err := Build(x, x, Config{NumSubspaces: 2, Budget: 12, Seed: 63, TIClusters: 6, AccuracyMode: acc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qz, err := ix.ProjectQuery(x.Row(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ix.NewSearcher()
+		cases := []struct {
+			name string
+			run  func() error
+			want string
+		}{
+			{"Search NaN", func() error { _, err := s.Search(poisoned(x.Row(0), 3, nan), 5, SearchOptions{}); return err }, "component 3"},
+			{"Search Inf heap", func() error {
+				_, err := s.Search(poisoned(x.Row(0), 0, inf), 5, SearchOptions{Mode: ModeHeap})
+				return err
+			}, "component 0"},
+			{"SearchProjected NaN", func() error { _, err := s.SearchProjected(poisoned(qz, 1, nan), 5, SearchOptions{}); return err }, "component 1"},
+			{"SearchProjected -Inf EA", func() error {
+				_, err := s.SearchProjected(poisoned(qz, 0, -inf), 5, SearchOptions{Mode: ModeEA})
+				return err
+			}, "component 0"},
+		}
+		for _, tc := range cases {
+			err := tc.run()
+			if !errors.Is(err, vec.ErrNonFinite) {
+				t.Fatalf("%v %s: got %v, want ErrNonFinite", acc, tc.name, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%v %s: error %q does not name %s", acc, tc.name, err, tc.want)
+			}
+		}
+		if got := ix.Metrics().Snapshot().Errors; got != uint64(len(cases)) {
+			t.Fatalf("%v: %d errors recorded, want %d", acc, got, len(cases))
+		}
+		if _, err := s.Search(x.Row(0), 5, SearchOptions{}); err != nil {
+			t.Fatalf("%v: finite query after rejections: %v", acc, err)
+		}
+	}
+}
+
 // NaN and infinities are refused by every entry point of the write path,
 // with the row and column named, before anything changes.
 func TestNonFiniteInputRejected(t *testing.T) {

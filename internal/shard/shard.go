@@ -453,6 +453,10 @@ func (x *Index) SearchProjected(qz []float32, k int, opt core.SearchOptions) ([]
 		x.reg.RecordError()
 		return nil, fmt.Errorf("shard: k must be >= 1, got %d", k)
 	}
+	if err := vec.CheckFiniteVec(qz); err != nil {
+		x.reg.RecordError()
+		return nil, fmt.Errorf("shard: query: %w", err)
+	}
 	return x.searchProjected(qz, nil, k, opt)
 }
 

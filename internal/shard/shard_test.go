@@ -715,6 +715,59 @@ func TestInitialThresholdSafety(t *testing.T) {
 	}
 }
 
+// A non-finite query is refused with ErrNonFinite before the scatter, in
+// both accuracy modes and through both entry points, and counted once as
+// a failed query in the merged registry.
+func TestNonFiniteQueryRejected(t *testing.T) {
+	data := testData(t, 400, 16, 72)
+	poisoned := func(q []float32, col int, v float64) []float32 {
+		out := append([]float32(nil), q...)
+		out[col] = float32(v)
+		return out
+	}
+	for _, acc := range []core.AccuracyMode{core.AccuracyExact, core.AccuracyFast} {
+		x := mustBuild(t, data, core.Config{NumSubspaces: 4, Budget: 24, Seed: 73, AccuracyMode: acc}, Options{Shards: 3})
+		qz, err := x.states[0].ix.ProjectQuery(data.Row(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			name string
+			run  func() error
+			want string
+		}{
+			{"Search NaN", func() error {
+				_, err := x.Search(poisoned(data.Row(0), 5, math.NaN()), 5, core.SearchOptions{})
+				return err
+			}, "component 5"},
+			{"Search Inf", func() error {
+				_, err := x.Search(poisoned(data.Row(0), 0, math.Inf(1)), 5, core.SearchOptions{})
+				return err
+			}, "component 0"},
+			{"SearchProjected NaN", func() error {
+				_, err := x.SearchProjected(poisoned(qz, 2, math.NaN()), 5, core.SearchOptions{})
+				return err
+			}, "component 2"},
+			{"SearchProjected -Inf", func() error {
+				_, err := x.SearchProjected(poisoned(qz, 1, math.Inf(-1)), 5, core.SearchOptions{Mode: core.ModeHeap})
+				return err
+			}, "component 1"},
+		}
+		for _, tc := range cases {
+			err := tc.run()
+			if !errors.Is(err, vec.ErrNonFinite) {
+				t.Fatalf("%v %s: got %v, want ErrNonFinite", acc, tc.name, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%v %s: error %q does not name %s", acc, tc.name, err, tc.want)
+			}
+		}
+		if got := x.Metrics().Snapshot().Errors; got != uint64(len(cases)) {
+			t.Fatalf("%v: %d errors recorded, want %d", acc, got, len(cases))
+		}
+	}
+}
+
 // Non-finite vectors are refused with vec.ErrNonFinite naming the caller's
 // row — by Build before any shard exists, by Add before an id is reserved —
 // and a rejected Add leaves Len, the shard lengths, every shard's id

@@ -49,8 +49,9 @@ func FromRows(rows [][]float32) (*Matrix, error) {
 }
 
 // ErrNonFinite reports a NaN or infinite value in vectors handed to a
-// build or an Add. The write path's ordered dictionary search is undefined
-// on NaN, so such input is refused before anything is encoded.
+// build, an Add or a search. The write path's ordered dictionary search is
+// undefined on NaN, and a NaN query has no nearest neighbors, so such input
+// is refused before anything is encoded or scanned.
 var ErrNonFinite = errors.New("non-finite value")
 
 // CheckFinite returns an error wrapping ErrNonFinite, naming the first
@@ -59,6 +60,17 @@ func CheckFinite(m *Matrix) error {
 	for i, v := range m.Data {
 		if v-v != 0 { // NaN and ±Inf are the only values with v-v != 0
 			return fmt.Errorf("%w %v at row %d, column %d", ErrNonFinite, v, i/m.Cols, i%m.Cols)
+		}
+	}
+	return nil
+}
+
+// CheckFiniteVec is CheckFinite for one vector (a query), naming the first
+// offending component.
+func CheckFiniteVec(v []float32) error {
+	for j, x := range v {
+		if x-x != 0 {
+			return fmt.Errorf("%w %v at component %d", ErrNonFinite, x, j)
 		}
 	}
 	return nil

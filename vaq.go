@@ -84,25 +84,11 @@ const (
 
 // ErrNonFinite is wrapped by the error Build, BuildWithTrainingSet,
 // BuildSharded, BuildShardedWithTrainingSet and Add return for input that
-// holds a NaN or an infinity (the message names the row and column). The
-// check runs before anything is trained, encoded or assigned an id, so a
-// rejected Add leaves the index exactly as it was. Test with errors.Is.
+// holds a NaN or an infinity (the message names the row and column), and
+// by the error a search returns for such a query. The check runs before
+// anything is trained, encoded, assigned an id or scanned, so a rejected
+// Add leaves the index exactly as it was. Test with errors.Is.
 var ErrNonFinite = vec.ErrNonFinite
-
-// ScanLayout selects the physical layout the query kernels scan.
-type ScanLayout = core.ScanLayout
-
-// Scan layouts.
-const (
-	// LayoutBlocked (default) scans a cache-optimized copy of the codes:
-	// cluster-contiguous, group-transposed in small blocks, uint8 where
-	// dictionaries fit. Results and prune stats are identical to
-	// LayoutRowMajor.
-	LayoutBlocked = core.LayoutBlocked
-	// LayoutRowMajor scans the canonical row-major codes directly (the
-	// legacy layout, kept for A/B benchmarking).
-	LayoutRowMajor = core.LayoutRowMajor
-)
 
 // AccuracyMode selects the arithmetic the scan kernels run in.
 type AccuracyMode = core.AccuracyMode
@@ -115,9 +101,9 @@ const (
 	// lookup tables (learned scale/offset, saturating) over packed 4-bit /
 	// uint8 / uint16 codes, with early-abandon thresholds quantized into
 	// the integer domain. Faster, with a small recall cost that
-	// RecallSampleRate and workload replay can measure. Requires
-	// LayoutBlocked; ModeEA and truncated-Subspaces queries transparently
-	// fall back to the exact kernels.
+	// RecallSampleRate and workload replay can measure. ModeEA and
+	// truncated-Subspaces queries transparently fall back to the exact
+	// kernels.
 	AccuracyFast = core.AccuracyFast
 )
 
@@ -178,15 +164,11 @@ type Config struct {
 	// (see Index.Metrics). Recording costs a few atomic adds per query,
 	// so the default is on.
 	DisableMetrics bool
-	// ScanLayout selects the physical layout the query kernels scan
-	// (default LayoutBlocked; LayoutRowMajor keeps the legacy scan for
-	// A/B comparison). Both return identical results and prune stats.
-	ScanLayout ScanLayout
 	// AccuracyMode selects the scan arithmetic (default AccuracyExact).
 	// AccuracyFast runs the integer fast-scan kernel — uint8-quantized
 	// lookup tables over packed codes — trading a small, measurable recall
-	// cost for throughput. Requires ScanLayout == LayoutBlocked.
-	// Runtime-only: not serialized; loaded indexes start exact.
+	// cost for throughput. Runtime-only: not serialized; loaded indexes
+	// start exact.
 	AccuracyMode AccuracyMode
 	// RecallSampleRate enables the online recall estimator: roughly this
 	// fraction of queries (deterministic stride sampling, so 0.01 means
@@ -287,7 +269,6 @@ func (c Config) toCore() core.Config {
 		Seed:                  c.Seed,
 		KMeansIters:           c.KMeansIters,
 		DisableMetrics:        c.DisableMetrics,
-		ScanLayout:            c.ScanLayout,
 		AccuracyMode:          c.AccuracyMode,
 		RecallSampleRate:      c.RecallSampleRate,
 		Logger:                c.Logger,
@@ -389,8 +370,6 @@ type Stats struct {
 	CodeBytes int
 	// TIClusters is the number of data-skipping clusters built.
 	TIClusters int
-	// Layout is the physical scan layout the query kernels use.
-	Layout ScanLayout
 	// Accuracy is the scan arithmetic mode the query kernels use.
 	Accuracy AccuracyMode
 }
@@ -406,7 +385,6 @@ func (ix *Index) Stats() Stats {
 		SubspaceVariances: ix.inner.SubspaceVariances(),
 		CodeBytes:         ix.inner.CodeBytes(),
 		TIClusters:        ix.inner.TIClusterCount(),
-		Layout:            ix.inner.Layout(),
 		Accuracy:          ix.inner.Accuracy(),
 	}
 }
