@@ -29,8 +29,8 @@ type fingerprintConfig struct {
 	DefaultVisitFrac  float64 `json:"visit_frac"`
 	EACheckEvery      int     `json:"ea_check_every"`
 	Seed              int64   `json:"seed"`
-	// Layout is the constant "blocked": committed workload captures and
-	// benchmark baselines carry fingerprints minted when it was a setting.
+	// Layout is the constant "blocked": workload captures and incident
+	// bundles carry fingerprints minted when it was a setting.
 	Layout string `json:"layout"`
 	// Accuracy is "" for exact mode (omitted, so every fingerprint minted
 	// before the integer kernel existed is unchanged) and "fast" when the
@@ -39,9 +39,10 @@ type fingerprintConfig struct {
 }
 
 // ConfigFingerprint is a stable short hash of the search-relevant build
-// configuration — the same sha256-over-canonical-JSON, first-8-bytes-hex
-// scheme vaqbench stamps into -json summaries. Workload logs carry it so a
-// replay can tell "same config rebuild" from "different index".
+// configuration: sha256 over the canonical JSON, first 8 bytes in hex.
+// Workload logs carry it so a replay can tell "same config rebuild" from
+// "different index", and incident bundles record it; the scheme is pinned
+// so fingerprints in existing captures and bundles keep matching.
 func (ix *Index) ConfigFingerprint() string {
 	fp := fingerprintConfig{
 		Dim:               ix.queryDim,

@@ -3,7 +3,8 @@
 // plain-text report: the same rows/series the paper plots, so the shapes
 // can be compared directly. cmd/vaqbench is the CLI front-end and the
 // repository's root bench_test.go exposes one testing.B benchmark per
-// experiment.
+// experiment. The timings printed here are the paper's relative shapes,
+// not performance evidence: that comes from the bench/ module.
 package experiments
 
 import (

@@ -16,7 +16,8 @@ type Log struct {
 	// FormatVersion for freshly captured logs).
 	Version uint32
 	// Fingerprint is the capturing index's config fingerprint (the
-	// vaqbench sha256-of-canonical-config scheme). Replay warns — but does
+	// sha256-of-canonical-config scheme of core's Index.ConfigFingerprint,
+	// which incident bundles carry too). Replay warns — but does
 	// not refuse — when the target index's fingerprint differs: replaying
 	// against a rebuild is the point.
 	Fingerprint string
@@ -54,6 +55,10 @@ const (
 	maxFingerprintLen = 1 << 10
 	maxRecords        = 1 << 28
 	maxVecLen         = 1 << 24
+
+	// readChunk caps how many records or vector entries ReadLog allocates
+	// ahead of the bytes that fill them.
+	readChunk = 1 << 12
 )
 
 // WriteTo serializes the log in .vaqwl format.
@@ -148,14 +153,17 @@ func ReadLog(rd io.Reader) (*Log, error) {
 	if cr.err != nil {
 		return nil, fmt.Errorf("workload: reading header: %w", cr.err)
 	}
+	// count and every length below are untrusted until their bytes arrive,
+	// so each slice grows by append from at most readChunk entries.
 	l := &Log{
 		Version:     version,
 		Fingerprint: string(fp),
 		Dim:         dim,
 		Shards:      shards,
-		Records:     make([]Record, count),
+		Records:     make([]Record, 0, min(count, readChunk)),
 	}
-	for i := range l.Records {
+	for i := 0; i < count; i++ {
+		l.Records = append(l.Records, Record{})
 		r := &l.Records[i]
 		r.OffsetNs = int64(cr.u64())
 		r.LatencyNs = int64(cr.u64())
@@ -172,10 +180,7 @@ func ReadLog(rd io.Reader) (*Log, error) {
 		if cr.err != nil {
 			return nil, fmt.Errorf("workload: reading record %d: %w", i, cr.err)
 		}
-		r.Query = make([]float32, qlen)
-		for j := range r.Query {
-			r.Query[j] = math.Float32frombits(cr.u32())
-		}
+		r.Query = readWords(cr, qlen, math.Float32frombits)
 		nres := int(cr.u32())
 		if cr.err == nil && nres > maxVecLen {
 			return nil, fmt.Errorf("workload: record %d result count %d too large", i, nres)
@@ -183,14 +188,8 @@ func ReadLog(rd io.Reader) (*Log, error) {
 		if cr.err != nil {
 			return nil, fmt.Errorf("workload: reading record %d: %w", i, cr.err)
 		}
-		r.IDs = make([]int32, nres)
-		r.Dists = make([]float32, nres)
-		for j := range r.IDs {
-			r.IDs[j] = int32(cr.u32())
-		}
-		for j := range r.Dists {
-			r.Dists[j] = math.Float32frombits(cr.u32())
-		}
+		r.IDs = readWords(cr, nres, func(v uint32) int32 { return int32(v) })
+		r.Dists = readWords(cr, nres, math.Float32frombits)
 		if cr.err != nil {
 			return nil, fmt.Errorf("workload: reading record %d: %w", i, cr.err)
 		}
@@ -287,6 +286,18 @@ func (c *reader) fill(n int) []byte {
 		}
 	}
 	return c.buf[:n]
+}
+
+// readWords reads n little-endian 32-bit words through conv. The result
+// grows by append from at most readChunk entries and stops at the first
+// short read, so memory tracks the bytes actually delivered (callers check
+// c.err).
+func readWords[T any](c *reader, n int, conv func(uint32) T) []T {
+	out := make([]T, 0, min(n, readChunk))
+	for len(out) < n && c.err == nil {
+		out = append(out, conv(c.u32()))
+	}
+	return out
 }
 
 func (c *reader) u8() uint8   { return c.fill(1)[0] }

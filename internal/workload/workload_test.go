@@ -2,7 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -154,6 +156,50 @@ func TestReadLogRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadLog(bytes.NewReader(buf.Bytes()[:6])); err == nil {
 		t.Fatal("truncated log accepted")
+	}
+}
+
+// hostileLogs are well-formed .vaqwl headers whose length fields promise
+// far more than the stream holds: 2^28-1 records with none present, and
+// one record claiming a 2^24-1-entry query with no payload.
+func hostileLogs() map[string][]byte {
+	header := func(count uint32) []byte {
+		b := []byte(logMagic)
+		b = binary.LittleEndian.AppendUint32(b, FormatVersion)
+		b = binary.LittleEndian.AppendUint16(b, 0) // empty fingerprint
+		b = binary.LittleEndian.AppendUint32(b, 3) // dim
+		b = binary.LittleEndian.AppendUint32(b, 0) // shards
+		return binary.LittleEndian.AppendUint32(b, count)
+	}
+	rec := header(1)
+	rec = append(rec, make([]byte, 8+8+8+4+4+8+4+1)...) // fixed record fields
+	rec = binary.LittleEndian.AppendUint32(rec, maxVecLen-1)
+	return map[string][]byte{
+		"huge count": header(maxRecords - 1),
+		"huge qlen":  rec,
+	}
+}
+
+// TestReadLogHostileLengthsBounded pins that ReadLog allocates no more than
+// the stream backs: each hostile header must fail with an error, not an
+// out-of-memory crash, and cost well under 16 MiB of allocation.
+func TestReadLogHostileLengthsBounded(t *testing.T) {
+	for name, raw := range hostileLogs() {
+		t.Run(name, func(t *testing.T) {
+			if name == "huge count" && len(raw) != 22 {
+				t.Fatalf("header is %d bytes, want 22", len(raw))
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadLog(bytes.NewReader(raw))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("hostile log accepted")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+				t.Fatalf("ReadLog allocated %d bytes on a %d-byte input", grew, len(raw))
+			}
+		})
 	}
 }
 

@@ -70,9 +70,8 @@ func (ix *Index) DisableCapture() { ix.inner.DisableCapture() }
 func (ix *Index) Capture() *WorkloadCapture { return ix.inner.Capture() }
 
 // ConfigFingerprint is a stable short hash of the search-relevant build
-// configuration (the same scheme vaqbench stamps into -json summaries).
-// Workload logs carry it so a replay can tell "same config rebuild" from
-// "different index".
+// configuration. Workload logs and incident bundles carry it so a replay
+// can tell "same config rebuild" from "different index".
 func (ix *Index) ConfigFingerprint() string { return ix.inner.ConfigFingerprint() }
 
 // ReplayWorkload re-runs a captured workload log against this index and
