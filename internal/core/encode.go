@@ -133,15 +133,13 @@ func decodePrefix(cb *quantizer.Codebooks, code []uint16, prefixSubspaces int, o
 // projected query's prefix and every TI centroid (Algorithm 4 lines
 // 14-17). Squared distances rank clusters identically to plain ones, so
 // the per-query root is deferred to the visited clusters only (the
-// triangle bound is the sole consumer of plain distances).
+// triangle bound is the sole consumer of plain distances). Each entry has
+// the bits of vec.SquaredL2(prefix, centroid).
 func (ti *tiIndex) queryClusterDistancesSq(q []float32, out []float32) []float32 {
 	if cap(out) < ti.centroids.Rows {
 		out = make([]float32, ti.centroids.Rows)
 	}
 	out = out[:ti.centroids.Rows]
-	prefix := q[:ti.prefixDim]
-	for c := 0; c < ti.centroids.Rows; c++ {
-		out[c] = vec.SquaredL2(prefix, ti.centroids.Row(c))
-	}
+	vec.SquaredL2Rows(q[:ti.prefixDim], ti.centroids.Data, out)
 	return out
 }

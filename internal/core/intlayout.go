@@ -439,7 +439,7 @@ func (il *intLUT) quantize(dist []float32, offsets []int, m int) {
 		slackSum += 1 << r
 		qscale := float32(math.Ldexp(255, -e))
 		for i, v := range src {
-			q := (v - lo) * qscale
+			q := float32((v - lo) * qscale)
 			switch {
 			case q != q: // NaN table entry: treat as "far"
 				out[i] = 255 << r
@@ -478,7 +478,7 @@ func (il *intLUT) thresholdInt(bsf float32) uint32 {
 // dequantize recovers an approximate float distance from an integer
 // accumulation over all subspaces.
 func (il *intLUT) dequantize(acc uint32) float32 {
-	return il.delta + float32(acc)*il.inv
+	return il.delta + float32(float32(acc)*il.inv)
 }
 
 // accumChunkFast computes integer partial distances over subspaces
@@ -853,12 +853,12 @@ type pushCand struct {
 
 // rerankFast rebuilds the top-k heap with exact float distances for the
 // candidates the integer scan retained. The per-subspace arithmetic
-// matches FillTable (SquaredL2 association — the 4-dimensional case is
-// inlined with fillLUT4's exact operation order) and the subspace-order
-// summation of the scan kernels, so the reported candidates carry
-// bit-identical distances to the exact kernels — only the candidate SET
-// is decided by the integer metric, and within it the exact distances
-// decide the final order.
+// matches FillTable (SquaredL2 association, every product rounded before
+// it is added — the 4-dimensional case is inlined in that exact operation
+// order) and the subspace-order summation of the scan kernels, so the
+// reported candidates carry bit-identical distances to the exact
+// kernels — only the candidate SET is decided by the integer metric, and
+// within it the exact distances decide the final order.
 //
 // Most pushes are stale: they entered while the heap was filling or
 // before the threshold tightened, and sit far above the final bar. When
@@ -884,12 +884,13 @@ func (s *Searcher) rerankFast(qz []float32) {
 	il := &s.ilut
 	cut := float32(math.MaxFloat32)
 	if il.inv > 0 && fs.coarsenedSubspaces() == 0 {
-		cut = s.topk.Threshold() + 4*float32(il.slack)*il.inv
+		cut = s.topk.Threshold() + float32(4*float32(il.slack)*il.inv)
 	}
 	s.topk.Reset()
 	if fs.rerDim4 {
 		// Uniform 4-dimensional subspaces (the paper's bench geometry):
-		// one flat array walk per candidate, fillLUT4's operation order.
+		// one flat array walk per candidate, SquaredL2's operation order at
+		// d=4 (the float32 conversions stop fused multiply-adds).
 		// Two subspaces per step: the pair shares one query-slice load and
 		// halves the per-subspace slice/bounds bookkeeping, while the two
 		// 4-term reductions are mutually independent and overlap in
@@ -919,8 +920,8 @@ func (s *Searcher) rerankFast(qz []float32) {
 				b1 := q[5] - rb[1]
 				b2 := q[6] - rb[2]
 				b3 := q[7] - rb[3]
-				d += a0*a0 + a1*a1 + a2*a2 + a3*a3
-				d += b0*b0 + b1*b1 + b2*b2 + b3*b3
+				d += float32(a0*a0) + float32(a1*a1) + float32(a2*a2) + float32(a3*a3)
+				d += float32(b0*b0) + float32(b1*b1) + float32(b2*b2) + float32(b3*b3)
 			}
 			if sI < m {
 				p := int(base[sI]) + int(row[sI])*4
@@ -930,7 +931,7 @@ func (s *Searcher) rerankFast(qz []float32) {
 				t1 := q[1] - r[1]
 				t2 := q[2] - r[2]
 				t3 := q[3] - r[3]
-				d += t0*t0 + t1*t1 + t2*t2 + t3*t3
+				d += float32(t0*t0) + float32(t1*t1) + float32(t2*t2) + float32(t3*t3)
 			}
 			s.topk.Push(id, d)
 		}

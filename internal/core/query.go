@@ -163,6 +163,11 @@ type Searcher struct {
 	// batch workloads don't allocate attribution per query.
 	depthScratch []uint32
 	rankScratch  []uint32
+	// projQ/projAcc hold the projected query and the projection's float64
+	// scratch across Search calls, so the raw-query path does not
+	// allocate them per query.
+	projQ   []float32
+	projAcc []float64
 }
 
 // LastStats reports the instrumentation of the most recent query. Its
@@ -198,7 +203,10 @@ func (s *Searcher) Search(q []float32, k int, opt SearchOptions) ([]vec.Neighbor
 		// clears the labels when the query finishes.
 		pprof.SetGoroutineLabels(pc.project)
 	}
-	qz, err := s.ix.ProjectQuery(q)
+	if s.projAcc == nil {
+		s.projAcc = make([]float64, s.ix.model.Dim)
+	}
+	qz, err := s.ix.projectQueryInto(q, s.projQ, s.projAcc)
 	if err != nil {
 		if pc := s.ix.profCtx.Load(); pc != nil {
 			pprof.SetGoroutineLabels(pc.clear)
@@ -209,6 +217,7 @@ func (s *Searcher) Search(q []float32, k int, opt SearchOptions) ([]vec.Neighbor
 	if s.rec.Active() {
 		s.projDur = time.Since(projStart)
 	}
+	s.projQ = qz
 	s.rawQ = q
 	return s.run(qz, k, opt), nil
 }
@@ -285,7 +294,11 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	if rec.Active() {
 		rec.Add(trace.Span{Name: trace.SpanLUTFill, Start: lutStart, Dur: rec.Clock() - lutStart})
 	}
-	s.topk = vec.NewTopK(k)
+	if s.topk == nil {
+		s.topk = vec.NewTopK(k)
+	} else {
+		s.topk.Reinit(k)
+	}
 	if opt.InitialThreshold > 0 {
 		s.topk.SetBound(opt.InitialThreshold)
 	}

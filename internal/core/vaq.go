@@ -332,11 +332,17 @@ func (ix *Index) RecallSampling() (everyNth uint64) { return ix.recallEvery }
 // ProjectQuery rotates a raw query into the index's PCA space. Exposed for
 // benchmarks that amortize projection across search modes.
 func (ix *Index) ProjectQuery(q []float32) ([]float32, error) {
+	return ix.projectQueryInto(q, nil, nil)
+}
+
+// projectQueryInto is ProjectQuery into reusable storage (see
+// pca.Model.ProjectVecInto).
+func (ix *Index) projectQueryInto(q, dst []float32, acc []float64) ([]float32, error) {
 	if len(q) != ix.queryDim {
 		return nil, fmt.Errorf("core: query dim %d, index dim %d", len(q), ix.queryDim)
 	}
 	if err := vec.CheckFiniteVec(q); err != nil {
 		return nil, fmt.Errorf("core: query: %w", err)
 	}
-	return ix.model.ProjectVec(q)
+	return ix.model.ProjectVecInto(q, dst, acc)
 }

@@ -166,12 +166,26 @@ func (m *Model) projectInto(src, dst []float32, acc []float64) {
 
 // ProjectVec maps a single vector onto the PCA basis.
 func (m *Model) ProjectVec(x []float32) ([]float32, error) {
+	return m.ProjectVecInto(x, nil, nil)
+}
+
+// ProjectVecInto is ProjectVec into caller-owned storage: dst and acc are
+// reused when they have capacity for Dim values, so a per-query caller that
+// keeps them allocates nothing. It returns dst resliced to Dim; acc is
+// scratch whose contents are overwritten.
+func (m *Model) ProjectVecInto(x, dst []float32, acc []float64) ([]float32, error) {
 	if len(x) != m.Dim {
 		return nil, fmt.Errorf("pca: project dimension %d, model has %d", len(x), m.Dim)
 	}
-	out := make([]float32, m.Dim)
-	m.projectInto(x, out, make([]float64, m.Dim))
-	return out, nil
+	if cap(dst) < m.Dim {
+		dst = make([]float32, m.Dim)
+	}
+	if cap(acc) < m.Dim {
+		acc = make([]float64, m.Dim)
+	}
+	dst = dst[:m.Dim]
+	m.projectInto(x, dst, acc[:m.Dim])
+	return dst, nil
 }
 
 // PermuteComponents reorders the eigenpairs according to perm: the new j-th

@@ -249,6 +249,43 @@ func TestLUTDistanceMatchesExplicit(t *testing.T) {
 	}
 }
 
+// TestFillLUTMatchesSquaredL2 pins the LUT's float contract: every table
+// entry has the bits of SquaredL2 between the query subvector and the
+// dictionary row, for uniform subspaces (4- and 5-dimensional) and
+// non-uniform lengths that cover every SIMD tail.
+func TestFillLUTMatchesSquaredL2(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	uniform4, _ := UniformSubspaces(32, 8)
+	uniform5, _ := UniformSubspaces(40, 8)
+	nonUniform, _ := FromLengths([]int{9, 1, 2, 3, 4, 5, 7, 8, 13})
+	for _, sub := range []Subspaces{uniform4, uniform5, nonUniform} {
+		x := clusteredData(rng, 300, sub.Dim())
+		bits := make([]int, sub.M())
+		for s := range bits {
+			bits[s] = 1 + s%6
+		}
+		cb, err := TrainCodebooks(x, sub, bits, TrainConfig{Seed: 46})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lut := cb.BuildLUT(x.Row(0))
+		for qi := 0; qi < 5; qi++ {
+			q := x.Row(rng.Intn(x.Rows))
+			cb.FillLUT(q, lut)
+			for s := 0; s < sub.M(); s++ {
+				table := lut.Table(s)
+				for c := range table {
+					want := vec.SquaredL2(sub.Of(q, s), cb.Books[s].Row(c))
+					if math.Float32bits(table[c]) != math.Float32bits(want) {
+						t.Fatalf("lengths %v subspace %d entry %d: LUT %08x, SquaredL2 %08x",
+							sub.Lengths, s, c, math.Float32bits(table[c]), math.Float32bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFillLUTReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := clusteredData(rng, 100, 4)

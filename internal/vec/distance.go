@@ -5,6 +5,9 @@ import "math"
 // SquaredL2 returns the squared Euclidean distance between a and b.
 // The slices must have equal length; this is the hot kernel so it is not
 // checked here (callers validate dimensions once, at build time).
+// Every product is rounded before it is added (the float32 conversions
+// stop a fused multiply-add from skipping that rounding), so the result
+// is the same on every architecture and equals SquaredL2Rows' bits.
 func SquaredL2(a, b []float32) float32 {
 	var d0, d1, d2, d3 float32
 	n := len(a)
@@ -14,15 +17,15 @@ func SquaredL2(a, b []float32) float32 {
 		t1 := a[i+1] - b[i+1]
 		t2 := a[i+2] - b[i+2]
 		t3 := a[i+3] - b[i+3]
-		d0 += t0 * t0
-		d1 += t1 * t1
-		d2 += t2 * t2
-		d3 += t3 * t3
+		d0 += float32(t0 * t0)
+		d1 += float32(t1 * t1)
+		d2 += float32(t2 * t2)
+		d3 += float32(t3 * t3)
 	}
 	d := d0 + d1 + d2 + d3
 	for ; i < n; i++ {
 		t := a[i] - b[i]
-		d += t * t
+		d += float32(t * t)
 	}
 	return d
 }
@@ -32,20 +35,21 @@ func L2(a, b []float32) float32 {
 	return float32(math.Sqrt(float64(SquaredL2(a, b))))
 }
 
-// Dot returns the inner product of a and b.
+// Dot returns the inner product of a and b, each product rounded before
+// it is added (as in SquaredL2).
 func Dot(a, b []float32) float32 {
 	var d0, d1, d2, d3 float32
 	n := len(a)
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		d0 += a[i] * b[i]
-		d1 += a[i+1] * b[i+1]
-		d2 += a[i+2] * b[i+2]
-		d3 += a[i+3] * b[i+3]
+		d0 += float32(a[i] * b[i])
+		d1 += float32(a[i+1] * b[i+1])
+		d2 += float32(a[i+2] * b[i+2])
+		d3 += float32(a[i+3] * b[i+3])
 	}
 	d := d0 + d1 + d2 + d3
 	for ; i < n; i++ {
-		d += a[i] * b[i]
+		d += float32(a[i] * b[i])
 	}
 	return d
 }

@@ -1,6 +1,9 @@
 package vec
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Neighbor is one search result: the index of a database vector and its
 // distance to the query. Distances are whatever metric the producer used
@@ -88,8 +91,21 @@ func (t *TopK) Push(id int, dist float32) bool {
 	return true
 }
 
-// Reset empties the collector for reuse.
+// Reset empties the collector for reuse. It keeps the external bound.
 func (t *TopK) Reset() { t.heap = t.heap[:0] }
+
+// Reinit makes t the collector NewTopK(k) would return, reusing its heap
+// storage: the heap is emptied and the external bound cleared.
+func (t *TopK) Reinit(k int) {
+	if k < 1 {
+		panic("vec: TopK requires k >= 1")
+	}
+	t.k, t.bound = k, maxFloat32
+	if cap(t.heap) < k {
+		t.heap = make([]Neighbor, 0, k)
+	}
+	t.heap = t.heap[:0]
+}
 
 // Heap exposes the retained neighbors in internal heap order, without
 // copying or sorting. The caller must not mutate the slice, and any Push
@@ -97,15 +113,19 @@ func (t *TopK) Reset() { t.heap = t.heap[:0] }
 func (t *TopK) Heap() []Neighbor { return t.heap }
 
 // Results returns the retained neighbors sorted ascending by distance
-// (ties broken by ID). The collector remains valid afterwards.
+// (ties broken by ID). The collector remains valid afterwards. The
+// returned slice is its only allocation.
 func (t *TopK) Results() []Neighbor {
 	out := make([]Neighbor, len(t.heap))
 	copy(out, t.heap)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
+	slices.SortFunc(out, func(a, b Neighbor) int {
+		switch {
+		case a.Dist < b.Dist:
+			return -1
+		case a.Dist > b.Dist:
+			return 1
 		}
-		return out[i].ID < out[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return out
 }

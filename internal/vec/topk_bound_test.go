@@ -65,3 +65,28 @@ func TestTopKSetBound(t *testing.T) {
 		t.Fatal("Push beyond retained bound succeeded after Reset")
 	}
 }
+
+// TestTopKReinit pins that Reinit, unlike Reset, returns a collector
+// indistinguishable from NewTopK(k): empty, unbounded, sized for the new k.
+func TestTopKReinit(t *testing.T) {
+	tk := NewTopK(2)
+	tk.SetBound(1.0)
+	tk.Push(7, 0.5)
+	tk.Reinit(3)
+	if tk.Pruning() || tk.Len() != 0 || tk.Threshold() != maxFloat32 {
+		t.Fatalf("Reinit kept state: pruning %v len %d threshold %v", tk.Pruning(), tk.Len(), tk.Threshold())
+	}
+	for i, d := range []float32{9, 3, 6, 1} {
+		tk.Push(i, d)
+	}
+	res := tk.Results()
+	if len(res) != 3 || res[0].ID != 3 || res[1].ID != 1 || res[2].ID != 2 {
+		t.Fatalf("unexpected results after Reinit %+v", res)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reinit(0) did not panic")
+		}
+	}()
+	tk.Reinit(0)
+}
