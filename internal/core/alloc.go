@@ -134,7 +134,7 @@ func allocateMILP(p allocParams) ([]int, error) {
 		var cum float64
 		for i, w := range p.Weights {
 			cum += w
-			if cum >= p.TargetVariance*wTotal-1e-12 {
+			if cum >= float64(p.TargetVariance*wTotal)-1e-12 {
 				h = i + 1
 				break
 			}
@@ -157,7 +157,7 @@ func allocateMILP(p allocParams) ([]int, error) {
 	for _, c := range p.Extra {
 		rhs := c.RHS
 		for i := h; i < m; i++ {
-			rhs -= c.Coeffs[i] * float64(p.MinBits)
+			rhs -= float64(c.Coeffs[i] * float64(p.MinBits))
 		}
 		extra = append(extra, milp.Constraint{
 			Coeffs: append([]float64(nil), c.Coeffs[:h]...),
@@ -336,7 +336,7 @@ func allocateTransformCoding(p allocParams) ([]int, error) {
 	logMean := logSum / float64(m)
 	raw := make([]float64, m)
 	for i := range raw {
-		raw[i] = mean + 0.5*(logs[i]-logMean)
+		raw[i] = mean + float64(0.5*(logs[i]-logMean))
 	}
 	bits := make([]int, m)
 	for i, r := range raw {

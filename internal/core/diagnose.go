@@ -134,7 +134,7 @@ func (ix *Index) foldDrift(prev, batchSqErr []float64, batch int, codes *quantiz
 	alpha := float64(batch) / (float64(batch) + driftEWMAWindow)
 	ewma := make([]float64, len(prev))
 	for s := range ewma {
-		ewma[s] = (1-alpha)*prev[s] + alpha*batchSqErr[s]/float64(batch)
+		ewma[s] = float64((1-alpha)*prev[s]) + alpha*batchSqErr[s]/float64(batch)
 	}
 	ratio := driftRatio(ewma, ix.baselineMSE)
 	alerting := ix.cfg.DriftAlertRatio > 0 && ratio > ix.cfg.DriftAlertRatio

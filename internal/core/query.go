@@ -67,10 +67,20 @@ func (ix *Index) Search(q []float32, k int) ([]vec.Neighbor, error) {
 }
 
 // SearchWith returns the approximate k nearest neighbors of q under the
-// given options.
+// given options. It borrows a Searcher from the index's pool, so one-shot
+// queries reuse lookup tables and scratch instead of allocating them.
 func (ix *Index) SearchWith(q []float32, k int, opt SearchOptions) ([]vec.Neighbor, error) {
-	s := ix.newSearcher()
-	return s.Search(q, k, opt)
+	s, _ := ix.searchers.Get().(*Searcher)
+	if s == nil {
+		s = ix.newSearcher()
+	} else if t := ix.tracer.Load(); s.rec.Tracer() != t {
+		// Pooled Searchers follow EnableTracing/DisableTracing like fresh
+		// ones: each use records into the index's current tracer.
+		s.AttachTracer(t)
+	}
+	res, err := s.Search(q, k, opt)
+	ix.searchers.Put(s)
+	return res, err
 }
 
 // SearchStats instruments one query: how much work each pruning layer
@@ -133,8 +143,7 @@ func (st *SearchStats) recordCopy() metrics.SearchRecord {
 // goroutine via NewSearcher.
 type Searcher struct {
 	ix *Index
-	// st is the index state the running query loaded; nil between queries,
-	// so an idle (pooled) Searcher does not keep a superseded state alive.
+	// st is the index state the running query loaded; nil between queries.
 	st   *state
 	lut  *quantizer.LUT
 	flut []float32 // float tables over the fast store's scan dictionaries
@@ -392,7 +401,9 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	if pc != nil {
 		pprof.SetGoroutineLabels(pc.clear)
 	}
-	s.st = nil
+	// An idle (pooled) Searcher keeps neither a superseded state nor the
+	// caller's query alive.
+	s.st, s.rawQ = nil, nil
 	return res
 }
 

@@ -163,6 +163,8 @@ type Index struct {
 	// recorder; atomic so EnableTracing is safe while queries are in
 	// flight (in-flight Searchers keep their current recorder).
 	tracer atomic.Pointer[trace.Tracer]
+	// searchers pools the Searchers behind Search/SearchWith.
+	searchers sync.Pool // *Searcher
 	// capture, when set, receives a sampled fraction of queries (vector,
 	// options, results, latency) for workload replay; atomic for the same
 	// reason as tracer. Off = one pointer load per query.
@@ -302,9 +304,9 @@ func (ix *Index) Metrics() *metrics.IndexMetrics { return ix.metrics }
 func (ix *Index) BuildReport() metrics.BuildReport { return ix.report }
 
 // EnableTracing installs a fresh per-query span tracer built from cfg and
-// returns it. Searchers created afterwards (including the throwaway ones
-// behind Index.Search/SearchWith) record a QueryTrace per query; Searchers
-// created earlier keep running untraced. Safe to call while queries are in
+// returns it. Searchers created afterwards, and every later
+// Index.Search/SearchWith, record a QueryTrace per query; Searchers created
+// earlier keep running untraced. Safe to call while queries are in
 // flight.
 func (ix *Index) EnableTracing(cfg trace.Config) *trace.Tracer {
 	t := trace.New(cfg)
@@ -312,8 +314,9 @@ func (ix *Index) EnableTracing(cfg trace.Config) *trace.Tracer {
 	return t
 }
 
-// DisableTracing detaches the index tracer; existing Searchers keep their
-// recorders until replaced.
+// DisableTracing detaches the index tracer: the next Index.Search/SearchWith
+// runs untraced, while existing Searchers keep their recorders until
+// replaced.
 func (ix *Index) DisableTracing() { ix.tracer.Store(nil) }
 
 // Tracer returns the active tracer, or nil when tracing is disabled.

@@ -128,39 +128,61 @@ func (m *Model) projectRows(x, out *vec.Matrix, lo, hi int) {
 	}
 }
 
+// useAVX512 selects the AVX-512 projection body (project_amd64.s), fixed
+// at init from the CPU probe in internal/vec. Tests clear it to run the Go
+// loop alone, the body's oracle.
+var useAVX512 = vec.HasAVX512()
+
 // projectInto computes dst = (src - Mean) * Components with acc (length
-// Dim) as scratch. It walks Components row by row — acc[j] += x[k]*V[k][j]
-// with j innermost, so memory is read sequentially — while every output
-// still receives its terms in ascending k, the order (and therefore the
-// bits) of the column-walking dot product it replaces.
+// Dim) as scratch. Every output starts at +0.0 and adds x_k*V[k][j] for k
+// ascending, each product rounded before it is added (float64(...) keeps
+// arm64 from fusing it): the order, and therefore the bits, of the
+// column-walking dot product. With AVX-512 the body computes the first
+// Dim&^31 outputs; the Go loop computes the rest. It walks Components row
+// by row — acc[j] += x[k]*V[k][j] with j innermost, so memory is read
+// sequentially.
 func (m *Model) projectInto(src, dst []float32, acc []float64) {
-	clear(acc)
 	d := m.Dim
+	v := m.Components.Data
+	j0 := 0
+	if useAVX512 {
+		if j0 = d &^ 31; j0 > 0 {
+			mean := m.Mean
+			if mean != nil {
+				mean = mean[:d] // the body reads Dim entries unchecked
+			}
+			projectAVX512(src[:d], mean, v[:d*d], dst[:j0])
+		}
+		if j0 == d {
+			return
+		}
+	}
+	acc = acc[j0:d]
+	clear(acc)
 	x := func(k int) float64 {
 		if m.Mean != nil {
 			return float64(src[k]) - m.Mean[k]
 		}
 		return float64(src[k])
 	}
-	v := m.Components.Data
 	k := 0
 	// Two rows of Components per pass halve the traffic on acc; each
 	// acc[j] still takes its k term before its k+1 term.
 	for ; k+2 <= d; k += 2 {
 		x0, x1 := x(k), x(k+1)
-		r0, r1 := v[k*d:][:len(acc)], v[(k+1)*d:][:len(acc)]
+		r0, r1 := v[k*d+j0:][:len(acc)], v[(k+1)*d+j0:][:len(acc)]
 		for j := range acc {
-			acc[j] = acc[j] + x0*r0[j] + x1*r1[j]
+			acc[j] = acc[j] + float64(x0*r0[j]) + float64(x1*r1[j])
 		}
 	}
 	for ; k < d; k++ {
 		xk := x(k)
-		for j, vkj := range v[k*d : (k+1)*d] {
-			acc[j] += xk * vkj
+		for j, vkj := range v[k*d+j0 : (k+1)*d] {
+			acc[j] += float64(xk * vkj)
 		}
 	}
 	for j, s := range acc {
-		dst[j] = float32(s)
+		dst[j0+j] = float32(s)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vaq/internal/linalg"
 	"vaq/internal/vec"
 )
 
@@ -241,7 +242,7 @@ func projectColumnWalk(m *Model, x *vec.Matrix) *vec.Matrix {
 		for j := 0; j < d; j++ {
 			var s float64
 			for k := 0; k < d; k++ {
-				s += row[k] * m.Components.At(k, j)
+				s += float64(row[k] * m.Components.At(k, j))
 			}
 			dst[j] = float32(s)
 		}
@@ -284,6 +285,84 @@ func TestProjectMatchesColumnWalk(t *testing.T) {
 				for j, v := range one {
 					if math.Float32bits(v) != math.Float32bits(want.At(i, j)) {
 						t.Fatalf("d=%d center=%v: ProjectVec row %d col %d differs", d, center, i, j)
+					}
+				}
+			}
+		}
+	}
+}
+
+// projValue draws a component, mean or input entry: mostly ordinary values,
+// often a signed zero.
+func projValue(rng *rand.Rand) float64 {
+	switch rng.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	}
+	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+}
+
+// TestProjectIntoMatchesGoLoop requires the dispatched projectInto — the
+// AVX-512 body for the first Dim&^31 outputs on CPUs that have it — to give
+// every output the bits of the Go loop alone, with and without a mean, on
+// inputs rich in signed zeros (an output whose products are all -0 must
+// still start from +0.0).
+func TestProjectIntoMatchesGoLoop(t *testing.T) {
+	t.Logf("AVX-512 projection body in use: %v", useAVX512)
+	goLoop := func(m *Model, src, dst []float32) {
+		saved := useAVX512
+		useAVX512 = false
+		defer func() { useAVX512 = saved }()
+		m.projectInto(src, dst, make([]float64, m.Dim))
+	}
+	rng := rand.New(rand.NewSource(47))
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64, 100, 128, 129} {
+		for _, centred := range []bool{false, true} {
+			for trial := 0; trial < 20; trial++ {
+				m := &Model{Dim: d, Components: linalg.NewDense(d, d)}
+				for i := range m.Components.Data {
+					m.Components.Data[i] = projValue(rng)
+				}
+				if trial == 0 {
+					// One all -0 column: its output is +0 + (-0) + … = +0.
+					for k := 0; k < d; k++ {
+						m.Components.Set(k, d-1, math.Copysign(0, -1))
+					}
+				}
+				if centred {
+					m.Mean = make([]float64, d)
+					for i := range m.Mean {
+						m.Mean[i] = projValue(rng)
+					}
+				}
+				src := make([]float32, d)
+				for i := range src {
+					src[i] = float32(projValue(rng))
+				}
+				if trial == 1 {
+					// Cancelling pairs: x_{k+1} = x_k and row k+1 = -row k,
+					// so rounded products sum to zero while a fused
+					// multiply-add would leave each product's rounding error.
+					for k := 0; k+1 < d; k += 2 {
+						src[k+1] = src[k]
+						if centred {
+							m.Mean[k+1] = m.Mean[k]
+						}
+						for j := 0; j < d; j++ {
+							m.Components.Set(k+1, j, -m.Components.At(k, j))
+						}
+					}
+				}
+				got := make([]float32, d)
+				want := make([]float32, d)
+				m.projectInto(src, got, make([]float64, d))
+				goLoop(m, src, want)
+				for j := range want {
+					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("d=%d centred=%v trial %d output %d: dispatched %08x, Go loop %08x",
+							d, centred, trial, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
 					}
 				}
 			}

@@ -94,7 +94,7 @@ func (m *TruncatedModel) Project(x *vec.Matrix) (*vec.Matrix, error) {
 		for j := 0; j < m.K; j++ {
 			var s float64
 			for t := 0; t < m.Dim; t++ {
-				s += row[t] * m.Components.At(t, j)
+				s += float64(row[t] * m.Components.At(t, j))
 			}
 			dst[j] = float32(s)
 		}

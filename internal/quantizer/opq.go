@@ -197,7 +197,7 @@ func refineRotation(trainRot *vec.Matrix, sub Subspaces, bits []int, cfg OPQConf
 			for j := 0; j < d; j++ {
 				var s float32
 				for k := 0; k < d; k++ {
-					s += src[k] * rf.At(k, j)
+					s += float32(src[k] * rf.At(k, j))
 				}
 				dst[j] = s
 			}
@@ -229,7 +229,7 @@ func (o *OPQ) transform(x *vec.Matrix) (*vec.Matrix, error) {
 		for j := 0; j < d; j++ {
 			var s float32
 			for k := 0; k < d; k++ {
-				s += src[k] * rf.At(k, j)
+				s += float32(src[k] * rf.At(k, j))
 			}
 			dst[j] = s
 		}

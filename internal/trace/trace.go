@@ -285,6 +285,14 @@ func (r *Recorder) Clock() time.Duration {
 // nil Recorder). Kernels use it to skip attribution bookkeeping wholesale.
 func (r *Recorder) Active() bool { return r != nil }
 
+// Tracer returns the tracer r records into (nil for a nil Recorder).
+func (r *Recorder) Tracer() *Tracer {
+	if r == nil {
+		return nil
+	}
+	return r.tr
+}
+
 // Add appends one span, or counts it as dropped past the per-query cap.
 func (r *Recorder) Add(s Span) {
 	if r == nil {

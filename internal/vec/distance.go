@@ -86,7 +86,7 @@ func ZNormalize(a []float32) {
 	var ss float64
 	for _, v := range a {
 		t := float64(v) - mean
-		ss += t * t
+		ss += float64(t * t)
 	}
 	std := math.Sqrt(ss / float64(len(a)))
 	if std == 0 {
@@ -134,7 +134,7 @@ func ColumnVariances(m *Matrix) []float64 {
 		r := m.Row(i)
 		for j, v := range r {
 			t := float64(v) - means[j]
-			vars[j] += t * t
+			vars[j] += float64(t * t)
 		}
 	}
 	if m.Rows > 0 {

@@ -8,8 +8,21 @@ package vec
 //go:noescape
 func squaredL2Rows4(q, rows, out []float32)
 
+// squaredL2RowsD4AVX512 fills out for d=4 sixteen rows per pass with
+// AVX-512F (see rows_amd64.s). It requires len(q) == 4, len(out) a multiple
+// of 16 and len(rows) >= len(out)*4.
+//
+//go:noescape
+func squaredL2RowsD4AVX512(q, rows, out []float32)
+
 func squaredL2Rows(q, rows, out []float32) {
 	d := len(q)
+	if d == 4 && hasAVX512 {
+		if n16 := len(out) &^ 15; n16 > 0 {
+			squaredL2RowsD4AVX512(q, rows, out[:n16])
+			rows, out = rows[n16*4:], out[n16:]
+		}
+	}
 	n4 := len(out) &^ 3
 	if d < 4 || n4 == 0 {
 		squaredL2RowsGo(q, rows, out)

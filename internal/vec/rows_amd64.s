@@ -103,3 +103,73 @@ fold:
 
 done:
 	RET
+
+// permD4 is the VPERMPS index that restores row order after the in-lane
+// transpose of squaredL2RowsD4AVX512: element 4L+i holds row 4i+L, so
+// row r is read from element 4*(r%4) + r/4.
+DATA permD4<>+0(SB)/4, $0
+DATA permD4<>+4(SB)/4, $4
+DATA permD4<>+8(SB)/4, $8
+DATA permD4<>+12(SB)/4, $12
+DATA permD4<>+16(SB)/4, $1
+DATA permD4<>+20(SB)/4, $5
+DATA permD4<>+24(SB)/4, $9
+DATA permD4<>+28(SB)/4, $13
+DATA permD4<>+32(SB)/4, $2
+DATA permD4<>+36(SB)/4, $6
+DATA permD4<>+40(SB)/4, $10
+DATA permD4<>+44(SB)/4, $14
+DATA permD4<>+48(SB)/4, $3
+DATA permD4<>+52(SB)/4, $7
+DATA permD4<>+56(SB)/4, $11
+DATA permD4<>+60(SB)/4, $15
+GLOBL permD4<>(SB), RODATA|NOPTR, $64
+
+// func squaredL2RowsD4AVX512(q, rows, out []float32)
+//
+// d=4 only, sixteen rows per pass. q is broadcast to the four 128-bit
+// lanes of Z0; Z1..Z4 each hold four consecutive rows, one per lane, and
+// take (q-row)² with a separate VSUBPS and VMULPS (no FMA). An in-lane
+// 4x4 transpose of Z1..Z4 yields the columns of lane j = dim j, and
+// ((c0+c1)+c2)+c3 is SquaredL2's fold. Lane L then holds rows L, 4+L,
+// 8+L, 12+L; one VPERMPS puts them in row order.
+TEXT ·squaredL2RowsD4AVX512(SB), NOSPLIT, $0-72
+	MOVQ q_base+0(FP), SI
+	MOVQ rows_base+24(FP), DI
+	MOVQ out_base+48(FP), BX
+	MOVQ out_len+56(FP), CX
+	SHRQ $4, CX              // CX = passes of sixteen rows
+	JZ   d4done
+	VBROADCASTF32X4 (SI), Z0
+	VMOVUPS permD4<>(SB), Z9
+
+d4pass:
+	VSUBPS    (DI), Z0, Z1
+	VSUBPS    64(DI), Z0, Z2
+	VSUBPS    128(DI), Z0, Z3
+	VSUBPS    192(DI), Z0, Z4
+	VMULPS    Z1, Z1, Z1     // rows 0-3
+	VMULPS    Z2, Z2, Z2     // rows 4-7
+	VMULPS    Z3, Z3, Z3     // rows 8-11
+	VMULPS    Z4, Z4, Z4     // rows 12-15
+	VUNPCKLPS Z2, Z1, Z5     // per lane: a0 b0 a1 b1
+	VUNPCKHPS Z2, Z1, Z6     // a2 b2 a3 b3
+	VUNPCKLPS Z4, Z3, Z7     // c0 d0 c1 d1
+	VUNPCKHPS Z4, Z3, Z8     // c2 d2 c3 d3
+	VUNPCKLPD Z7, Z5, Z1     // a0 b0 c0 d0
+	VUNPCKHPD Z7, Z5, Z2     // a1 b1 c1 d1
+	VUNPCKLPD Z8, Z6, Z3     // a2 b2 c2 d2
+	VUNPCKHPD Z8, Z6, Z4     // a3 b3 c3 d3
+	VADDPS    Z2, Z1, Z1
+	VADDPS    Z3, Z1, Z1
+	VADDPS    Z4, Z1, Z1
+	VPERMPS   Z1, Z9, Z1
+	VMOVUPS   Z1, (BX)
+	ADDQ      $256, DI
+	ADDQ      $64, BX
+	DECQ      CX
+	JNZ       d4pass
+	VZEROUPPER
+
+d4done:
+	RET

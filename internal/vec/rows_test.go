@@ -98,6 +98,18 @@ func TestSquaredL2RowsBoundsChecked(t *testing.T) {
 	SquaredL2Rows(make([]float32, 4), make([]float32, 15), make([]float32, 4))
 }
 
+// specialRowsD4 returns n d=4 rows that put every rowsSpecials value in
+// every lane at least once when n >= len(rowsSpecials).
+func specialRowsD4(n int) []float32 {
+	rows := make([]float32, (n+1)*4)
+	for c := 0; c <= n; c++ {
+		for i := 0; i < 4; i++ {
+			rows[c*4+i] = rowsSpecials[(c+3*i)%len(rowsSpecials)]
+		}
+	}
+	return rows
+}
+
 // FuzzSquaredL2Rows decodes the input as one dimension byte followed by
 // little-endian float32s — the query, then whole rows — and requires
 // SquaredL2Rows to match per-row SquaredL2 bit for bit.
@@ -113,6 +125,15 @@ func FuzzSquaredL2Rows(f *testing.F) {
 		}
 	}
 	f.Add(encodeRowsInput(4, append([]float32{0, 0, 0, 0}, rowsSpecials...)))
+	// d=4 inputs long enough for whole 16-row passes plus every tail.
+	for _, n := range []int{15, 16, 17, 31, 32, 33, 40} {
+		vals := make([]float32, (n+1)*4)
+		for i := range vals {
+			vals[i] = rowsValue(rng)
+		}
+		f.Add(encodeRowsInput(4, vals))
+	}
+	f.Add(encodeRowsInput(4, specialRowsD4(40)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

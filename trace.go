@@ -44,17 +44,18 @@ const (
 )
 
 // EnableTracing installs a fresh per-query tracer on the index and returns
-// it. Searchers created afterwards — including the throwaway ones behind
-// Search/SearchWith and SearchBatch workers — record one QueryTrace per
-// query; Searchers created earlier keep running untraced (re-point them
-// with Searcher.AttachTracer). Tracing costs a few clock reads and one
+// it. Every later Search/SearchWith and Searchers created afterwards —
+// SearchBatch workers included — record one QueryTrace per query; Searchers
+// created earlier keep running untraced (re-point them with
+// Searcher.AttachTracer). Tracing costs a few clock reads and one
 // allocation per query; disabled, it costs one nil pointer check.
 func (ix *Index) EnableTracing(cfg TraceConfig) *Tracer {
 	return ix.inner.EnableTracing(cfg)
 }
 
-// DisableTracing detaches the index tracer. Existing Searchers keep their
-// recorders until recreated or re-pointed.
+// DisableTracing detaches the index tracer: the next Search/SearchWith runs
+// untraced. Existing Searchers keep their recorders until recreated or
+// re-pointed.
 func (ix *Index) DisableTracing() { ix.inner.DisableTracing() }
 
 // Tracer returns the active tracer, or nil when tracing is disabled.
