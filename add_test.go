@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"vaq/internal/core"
+	"vaq/internal/vec"
 )
 
 func TestPublicAdd(t *testing.T) {
@@ -61,17 +64,18 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sx, err := BuildSharded(data, cfg)
+		sx, err := BuildShardedWithTrainingSet(data, data, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		shardedSearch := func(q []float32, k int) ([]Result, error) { return sx.SearchWith(q, k, SearchOptions{}) }
 		for _, tc := range []struct {
 			name   string
 			search func([]float32, int) ([]Result, error)
 			batch  func([][]float32, int, SearchOptions, int) ([][]Result, error)
 		}{
 			{"Index", ix.Search, ix.SearchBatch},
-			{"ShardedIndex", sx.Search, sx.SearchBatch},
+			{"ShardedIndex", shardedSearch, sx.SearchBatch},
 		} {
 			for _, q := range [][]float32{bad, inf} {
 				if _, err := tc.search(q, 5); !errors.Is(err, ErrNonFinite) {
@@ -108,7 +112,7 @@ func TestNonFiniteInputRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx, err := BuildSharded(data[:300], cfg)
+	sx, err := BuildShardedWithTrainingSet(data[:300], data[:300], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +127,13 @@ func TestNonFiniteInputRejected(t *testing.T) {
 		want string
 	}{
 		{"Build", func() error { _, err := Build(poisoned(300, 17, 2, nan), cfg); return err }, "row 17, column 2"},
-		{"BuildFlat", func() error {
+		{"core.Build flat", func() error {
 			flat := make([]float32, 0, 300*16)
 			for _, r := range poisoned(300, 4, 4, inf) {
 				flat = append(flat, r...)
 			}
-			_, err := BuildFlat(flat, 300, 16, cfg)
+			m := &vec.Matrix{Rows: 300, Cols: 16, Data: flat}
+			_, err := core.Build(m, m, cfg.toCore())
 			return err
 		}, "row 4, column 4"},
 		{"BuildWithTrainingSet train", func() error {
@@ -139,7 +144,11 @@ func TestNonFiniteInputRejected(t *testing.T) {
 			_, err := BuildWithTrainingSet(data[:200], poisoned(300, 299, 0, nan), cfg)
 			return err
 		}, "row 299, column 0"},
-		{"BuildSharded", func() error { _, err := BuildSharded(poisoned(300, 150, 9, nan), cfg); return err }, "row 150, column 9"},
+		{"BuildShardedWithTrainingSet both", func() error {
+			p := poisoned(300, 150, 9, nan)
+			_, err := BuildShardedWithTrainingSet(p, p, cfg)
+			return err
+		}, "row 150, column 9"},
 		{"BuildShardedWithTrainingSet train", func() error {
 			_, err := BuildShardedWithTrainingSet(poisoned(200, 3, 3, inf), data[:300], cfg)
 			return err
@@ -167,5 +176,51 @@ func TestNonFiniteInputRejected(t *testing.T) {
 	}
 	if first, err := sx.Add(data[300:320]); err != nil || first != 300 {
 		t.Fatalf("sharded Add after a rejected one: first id %d, err %v", first, err)
+	}
+}
+
+// SearchOptions.VisitFrac is 0 (the default) or a fraction in (0, 1]:
+// NaN and values outside [0, 1] are refused by every search of both index
+// kinds, and per query by SearchBatch.
+func TestVisitFracRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	data := genData(rng, 400, 16)
+	cfg := Config{NumSubspaces: 4, Budget: 24, Seed: 64, TIClusters: 8, Shards: 2}
+	ix, err := Build(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := BuildShardedWithTrainingSet(data, data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ix.NewSearcher()
+	for _, tc := range []struct {
+		name   string
+		search func([]float32, int, SearchOptions) ([]Result, error)
+		batch  func([][]float32, int, SearchOptions, int) ([][]Result, error)
+	}{
+		{"Index", ix.SearchWith, ix.SearchBatch},
+		{"Searcher", s.Search, nil},
+		{"ShardedIndex", sx.SearchWith, sx.SearchBatch},
+	} {
+		for _, f := range []float64{math.NaN(), -0.25, 1.25, math.Inf(1)} {
+			opt := SearchOptions{VisitFrac: f}
+			if _, err := tc.search(data[0], 5, opt); err == nil || !strings.Contains(err.Error(), "VisitFrac") {
+				t.Errorf("%s VisitFrac %v: got %v, want a VisitFrac error", tc.name, f, err)
+			}
+			if tc.batch == nil {
+				continue
+			}
+			res, err := tc.batch(data[:3], 5, opt, 2)
+			if err == nil || !strings.Contains(err.Error(), "VisitFrac") || res[0] != nil || res[2] != nil {
+				t.Errorf("%s SearchBatch VisitFrac %v: got %v (results %v), want every query refused", tc.name, f, err, res)
+			}
+		}
+		for _, f := range []float64{0, 0.5, 1} {
+			if _, err := tc.search(data[0], 5, SearchOptions{VisitFrac: f}); err != nil {
+				t.Errorf("%s VisitFrac %v: %v", tc.name, f, err)
+			}
+		}
 	}
 }

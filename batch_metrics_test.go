@@ -8,9 +8,12 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"vaq/internal/core"
+	"vaq/internal/metrics"
 )
 
-func metricsTestIndex(t testing.TB, n, d int, cfg Config) (*Index, [][]float32) {
+func metricsTestIndex(t testing.TB, n, d int, cfg core.Config) (*Index, [][]float32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	data := make([][]float32, n)
@@ -21,11 +24,7 @@ func metricsTestIndex(t testing.TB, n, d int, cfg Config) (*Index, [][]float32) 
 		}
 		data[i] = v
 	}
-	ix, err := Build(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix, data
+	return buildCore(t, data, cfg), data
 }
 
 // TestBatchMetricsMatchSerialReplay is the race-detector workhorse: many
@@ -34,20 +33,20 @@ func metricsTestIndex(t testing.TB, n, d int, cfg Config) (*Index, [][]float32) 
 // serial replay of the same workload (each query's stats are independent
 // of execution order, so the totals are deterministic).
 func TestBatchMetricsMatchSerialReplay(t *testing.T) {
-	ix, data := metricsTestIndex(t, 2000, 24, Config{NumSubspaces: 8, Budget: 64, Seed: 5})
+	ix, data := metricsTestIndex(t, 2000, 24, core.Config{NumSubspaces: 8, Budget: 64, Seed: 5})
 	queries := data[:300]
 	opt := SearchOptions{VisitFrac: 0.5}
 
 	if _, err := ix.SearchBatch(queries, 10, opt, 8); err != nil {
 		t.Fatal(err)
 	}
-	batch := ix.Metrics()
+	batch := ix.inner.Metrics().Snapshot()
 
 	// Serial replay through one Searcher, summing LastStats per query.
 	// Runs after the batch snapshot was taken, so its own recording
 	// cannot contaminate the comparison.
 	s := ix.NewSearcher()
-	var want MetricsSnapshot
+	var want metrics.Snapshot
 	for qi, q := range queries {
 		if _, err := s.Search(q, 10, opt); err != nil {
 			t.Fatalf("replay query %d: %v", qi, err)
@@ -82,46 +81,46 @@ func TestBatchMetricsMatchSerialReplay(t *testing.T) {
 	if batch.Errors != 0 {
 		t.Errorf("unexpected errors counted: %d", batch.Errors)
 	}
-	if batch.LatencyP50 <= 0 || batch.LatencyMean <= 0 {
+	if batch.Latency.Quantile(0.5) <= 0 || batch.Latency.Mean() <= 0 {
 		t.Errorf("latency percentiles missing: %+v", batch)
 	}
 }
 
 func TestMetricsDisabled(t *testing.T) {
-	ix, data := metricsTestIndex(t, 500, 8, Config{NumSubspaces: 4, Budget: 16, Seed: 5, DisableMetrics: true})
+	ix, data := metricsTestIndex(t, 500, 8, core.Config{NumSubspaces: 4, Budget: 16, Seed: 5, DisableMetrics: true})
 	if _, err := ix.Search(data[0], 5); err != nil {
 		t.Fatal(err)
 	}
-	if snap := ix.Metrics(); snap.Queries != 0 || snap.Lookups != 0 {
+	if snap := ix.inner.Metrics().Snapshot(); snap.Queries != 0 || snap.Lookups != 0 {
 		t.Fatalf("disabled metrics still recorded: %+v", snap)
 	}
-	ix.ResetMetrics() // must not panic on a nil registry
+	ix.inner.Metrics().Reset() // must not panic on a nil registry
 }
 
 func TestMetricsCountErrors(t *testing.T) {
-	ix, data := metricsTestIndex(t, 500, 8, Config{NumSubspaces: 4, Budget: 16, Seed: 5})
+	ix, data := metricsTestIndex(t, 500, 8, core.Config{NumSubspaces: 4, Budget: 16, Seed: 5})
 	if _, err := ix.Search(data[0], 0); err == nil {
 		t.Fatal("k=0 must fail")
 	}
 	if _, err := ix.Search(make([]float32, 3), 5); err == nil {
 		t.Fatal("bad dim must fail")
 	}
-	snap := ix.Metrics()
+	snap := ix.inner.Metrics().Snapshot()
 	if snap.Errors != 2 {
 		t.Fatalf("errors = %d, want 2", snap.Errors)
 	}
 	if snap.Queries != 0 {
 		t.Fatalf("failed searches counted as queries: %d", snap.Queries)
 	}
-	ix.ResetMetrics()
-	if snap := ix.Metrics(); snap.Errors != 0 {
+	ix.inner.Metrics().Reset()
+	if snap := ix.inner.Metrics().Snapshot(); snap.Errors != 0 {
 		t.Fatalf("reset left errors = %d", snap.Errors)
 	}
 }
 
 func TestBuildReportPopulated(t *testing.T) {
-	ix, _ := metricsTestIndex(t, 1500, 16, Config{NumSubspaces: 8, Budget: 48, Seed: 5})
-	rep := ix.BuildReport()
+	ix, _ := metricsTestIndex(t, 1500, 16, core.Config{NumSubspaces: 8, Budget: 48, Seed: 5})
+	rep := ix.inner.BuildReport()
 	if rep.Total <= 0 {
 		t.Fatalf("total build time %v", rep.Total)
 	}
@@ -135,12 +134,12 @@ func TestBuildReportPopulated(t *testing.T) {
 }
 
 func TestPublishExpvarServesIndexMetrics(t *testing.T) {
-	ix, data := metricsTestIndex(t, 500, 8, Config{NumSubspaces: 4, Budget: 16, Seed: 5})
+	ix, data := metricsTestIndex(t, 500, 8, core.Config{NumSubspaces: 4, Budget: 16, Seed: 5})
 	if _, err := ix.Search(data[1], 3); err != nil {
 		t.Fatal(err)
 	}
-	ix.PublishExpvar("vaq_public_test_index")
-	srv, err := ServeDebug("127.0.0.1:0")
+	metrics.Publish("vaq_public_test_index", ix.inner.Metrics())
+	srv, err := metrics.ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestPublishExpvarServesIndexMetrics(t *testing.T) {
 // query increments the registry's error counter exactly once (not once per
 // batch), and the joined error names every failed index.
 func TestSearchBatchErrorContract(t *testing.T) {
-	ix, data := metricsTestIndex(t, 600, 8, Config{NumSubspaces: 4, Budget: 16, Seed: 5})
+	ix, data := metricsTestIndex(t, 600, 8, core.Config{NumSubspaces: 4, Budget: 16, Seed: 5})
 	queries := data[:40]
 	out, err := ix.SearchBatch(queries, 5, SearchOptions{}, 4)
 	if err != nil {
@@ -203,7 +202,7 @@ func TestSearchBatchErrorContract(t *testing.T) {
 	mixed = append(mixed, make([]float32, 1))
 	badB := len(mixed) - 1
 
-	before := ix.Metrics()
+	before := ix.inner.Metrics().Snapshot()
 	out, err = ix.SearchBatch(mixed, 5, SearchOptions{}, 4)
 	if err == nil {
 		t.Fatal("mixed batch must return the joined per-query errors")
@@ -227,7 +226,7 @@ func TestSearchBatchErrorContract(t *testing.T) {
 			t.Errorf("good query %d: %d results", i, len(res))
 		}
 	}
-	diff := ix.Metrics()
+	diff := ix.inner.Metrics().Snapshot()
 	if got := diff.Errors - before.Errors; got != 2 {
 		t.Errorf("errors counted = %d, want exactly one per failed query (2)", got)
 	}

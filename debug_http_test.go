@@ -7,6 +7,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vaq/internal/core"
+	"vaq/internal/diag"
+	"vaq/internal/metrics"
+	"vaq/internal/trace"
 )
 
 // TestPublishIdempotent pins the re-publish contract of every debug
@@ -16,17 +21,17 @@ import (
 // scrapes must reflect the newest index.
 func TestPublishIdempotent(t *testing.T) {
 	build := func() *Index {
-		ix, _ := metricsTestIndex(t, 400, 8, Config{NumSubspaces: 4, Budget: 16, Seed: 3})
+		ix, _ := metricsTestIndex(t, 400, 8, core.Config{NumSubspaces: 4, Budget: 16, Seed: 3})
 		return ix
 	}
 	cases := []struct {
 		name    string
 		publish func(ix *Index, as string)
 	}{
-		{"expvar", func(ix *Index, as string) { ix.PublishExpvar(as) }},
-		{"diagnostics", func(ix *Index, as string) { ix.PublishDiagnostics(as) }},
+		{"expvar", func(ix *Index, as string) { metrics.Publish(as, ix.inner.Metrics()) }},
+		{"diagnostics", func(ix *Index, as string) { diag.Publish(as, ix.inner.Diagnose) }},
 		{"trace", func(ix *Index, as string) {
-			PublishTrace(as, ix.EnableTracing(TraceConfig{RingSize: 8}))
+			trace.Publish(as, ix.EnableTracing(TraceConfig{RingSize: 8}))
 		}},
 	}
 	for _, tc := range cases {
@@ -46,14 +51,14 @@ func TestPublishIdempotent(t *testing.T) {
 
 	// The rebind is live, not just panic-free: after republishing, the
 	// metrics endpoint serves the new index's counters.
-	old, data := metricsTestIndex(t, 400, 8, Config{NumSubspaces: 4, Budget: 16, Seed: 3})
-	fresh, _ := metricsTestIndex(t, 400, 8, Config{NumSubspaces: 4, Budget: 16, Seed: 4})
-	old.PublishExpvar("vaq_rebind_check")
+	old, data := metricsTestIndex(t, 400, 8, core.Config{NumSubspaces: 4, Budget: 16, Seed: 3})
+	fresh, _ := metricsTestIndex(t, 400, 8, core.Config{NumSubspaces: 4, Budget: 16, Seed: 4})
+	metrics.Publish("vaq_rebind_check", old.inner.Metrics())
 	if _, err := old.Search(data[0], 3); err != nil {
 		t.Fatal(err)
 	}
-	fresh.PublishExpvar("vaq_rebind_check")
-	srv, err := ServeDebug("127.0.0.1:0")
+	metrics.Publish("vaq_rebind_check", fresh.inner.Metrics())
+	srv, err := metrics.ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +78,11 @@ func TestPublishIdempotent(t *testing.T) {
 // another port coexists with the first, Close stops accepting new
 // connections, and the released address does not wedge future listens.
 func TestServeDebugShutdown(t *testing.T) {
-	srv1, err := ServeDebug("127.0.0.1:0")
+	srv1, err := metrics.ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := ServeDebug("127.0.0.1:0")
+	srv2, err := metrics.ServeDebug("127.0.0.1:0")
 	if err != nil {
 		srv1.Close()
 		t.Fatalf("second ServeDebug: %v", err)
@@ -112,7 +117,7 @@ func TestServeDebugShutdown(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	// The released port is reusable immediately.
-	srv3, err := ServeDebug(srv1.Addr)
+	srv3, err := metrics.ServeDebug(srv1.Addr)
 	if err != nil {
 		t.Fatalf("relisten on %s: %v", srv1.Addr, err)
 	}

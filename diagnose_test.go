@@ -8,6 +8,10 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"vaq/internal/core"
+	"vaq/internal/diag"
+	"vaq/internal/metrics"
 )
 
 // TestDiagnosePublicSurface drives the diagnostics API the way an operator
@@ -15,30 +19,30 @@ import (
 // /debug/vaq/report endpoint — then confirm drift lands in the metrics
 // snapshot after out-of-distribution Adds.
 func TestDiagnosePublicSurface(t *testing.T) {
-	ix, data := metricsTestIndex(t, 1500, 16, Config{
+	ix, data := metricsTestIndex(t, 1500, 16, core.Config{
 		NumSubspaces: 8, Budget: 48, Seed: 11, DriftAlertRatio: 1.5,
 	})
-	rep := ix.Diagnose()
+	rep := ix.inner.Diagnose()
 	if rep == nil || rep.Partial {
 		t.Fatalf("fresh build: report %+v, want non-partial", rep)
 	}
-	if rep.MSESource != MSESourceBaseline && rep.MSESource != MSESourceFresh {
+	if rep.MSESource != diag.MSEBaseline && rep.MSESource != diag.MSEFresh {
 		t.Fatalf("unexpected MSE source %q", rep.MSESource)
 	}
 	if rep.N != ix.Len() || len(rep.Subspaces) != 8 {
 		t.Fatalf("report shape: n=%d subspaces=%d", rep.N, len(rep.Subspaces))
 	}
 	var text bytes.Buffer
-	if err := WriteReportText(&text, rep); err != nil {
+	if err := diag.WriteText(&text, rep); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(text.String(), "ti clusters") {
 		t.Fatalf("text rendering missing balance section:\n%s", text.String())
 	}
 
-	ix.PublishDiagnostics("vaq_diag_public")
-	defer UnpublishDiagnostics("vaq_diag_public")
-	srv, err := ServeDebug("127.0.0.1:0")
+	diag.Publish("vaq_diag_public", ix.inner.Diagnose)
+	defer diag.Publish("vaq_diag_public", nil)
+	srv, err := metrics.ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestDiagnosePublicSurface(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("scrape: status %d err %v", resp.StatusCode, err)
 	}
-	var scraped map[string]*IndexReport
+	var scraped map[string]*diag.Report
 	if err := json.Unmarshal(body, &scraped); err != nil {
 		t.Fatalf("scrape not JSON: %v\n%s", err, body)
 	}
@@ -75,14 +79,14 @@ func TestDiagnosePublicSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := ix.Metrics()
+	snap := ix.inner.Metrics().Snapshot()
 	if snap.DriftRatio <= 1.5 || !snap.DriftAlert {
 		t.Fatalf("post-shift snapshot: ratio %g alert %v, want alerting", snap.DriftRatio, snap.DriftAlert)
 	}
 	if len(snap.SubspaceMSE) != 8 {
 		t.Fatalf("snapshot has %d subspace MSE gauges, want 8", len(snap.SubspaceMSE))
 	}
-	drift := ix.Diagnose().Drift
+	drift := ix.inner.Diagnose().Drift
 	if drift == nil || !drift.Alert || drift.Ratio != snap.DriftRatio {
 		t.Fatalf("report drift %+v disagrees with snapshot ratio %g", drift, snap.DriftRatio)
 	}

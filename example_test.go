@@ -1,9 +1,9 @@
 package vaq_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 
 	"vaq"
 )
@@ -38,45 +38,20 @@ func ExampleIndex_SearchBatch() {
 }
 
 // Persisting a trained index and reloading it without retraining.
-func ExampleIndex_Save() {
+func ExampleIndex_WriteTo() {
 	data := makeData(1000, 16)
 	ix, err := vaq.Build(data, vaq.Config{NumSubspaces: 4, Budget: 24, Seed: 7})
 	if err != nil {
 		panic(err)
 	}
-	dir, err := os.MkdirTemp("", "vaq-example")
-	if err != nil {
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
 		panic(err)
 	}
-	defer os.RemoveAll(dir)
-	path := dir + "/index.vaqi"
-	if err := ix.Save(path); err != nil {
-		panic(err)
-	}
-	loaded, err := vaq.Load(path)
+	loaded, err := vaq.Read(&buf)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(loaded.Len() == ix.Len())
-	// Output: true
-}
-
-// Constraining the bit allocation: cap the most important subspace.
-func ExampleConfig_allocConstraints() {
-	data := makeData(1500, 16)
-	coeffs := make([]float64, 4)
-	coeffs[0] = 1 // the most important subspace's bit variable
-	ix, err := vaq.Build(data, vaq.Config{
-		NumSubspaces: 4,
-		Budget:       24,
-		Seed:         7,
-		AllocConstraints: []vaq.BitConstraint{
-			{Coeffs: coeffs, Sense: vaq.LE, RHS: 7},
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(ix.Stats().BitsPerSubspace[0] <= 7)
 	// Output: true
 }

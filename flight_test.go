@@ -5,6 +5,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vaq/internal/bundle"
+	"vaq/internal/core"
+	"vaq/internal/metrics"
+	"vaq/internal/shard"
+	"vaq/internal/workload"
 )
 
 // TestFlightRecorderAlertBundleEndToEnd breaches the latency SLO on a live
@@ -16,15 +22,12 @@ import (
 func TestFlightRecorderAlertBundleEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := genData(rng, 1200, 24)
-	ix, err := Build(data, Config{
+	ix := buildCore(t, data, core.Config{
 		NumSubspaces: 6, Budget: 36, Seed: 3, TIClusters: 20,
 		// Every query violates a 1ns target; the budget exhausts on the
 		// second and never recovers, so vaq.slo.latency fires exactly once.
-		SLO: &SLO{LatencyTarget: time.Nanosecond},
+		SLO: &metrics.SLO{LatencyTarget: time.Nanosecond},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	rec, err := ix.EnableFlightRecorder("test_index", BundleConfig{
 		Dir:                dir,
@@ -51,34 +54,34 @@ func TestFlightRecorderAlertBundleEndToEnd(t *testing.T) {
 		t.Fatalf("DisableFlightRecorder: %v", err)
 	}
 
-	mans, err := ListBundles(dir)
+	mans, err := bundle.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mans) != 1 {
 		t.Fatalf("%d bundles after one breach edge, want exactly 1", len(mans))
 	}
-	man, err := ValidateBundle(mans[0].Dir)
+	man, err := bundle.Validate(mans[0].Dir)
 	if err != nil {
 		t.Fatalf("ValidateBundle: %v", err)
 	}
 	if man.Trigger.Source != "vaq.slo.latency" {
 		t.Fatalf("trigger source %q, want vaq.slo.latency", man.Trigger.Source)
 	}
-	if man.Fingerprint != ix.ConfigFingerprint() {
-		t.Fatalf("bundle fingerprint %s != index %s", man.Fingerprint, ix.ConfigFingerprint())
+	if man.Fingerprint != ix.inner.ConfigFingerprint() {
+		t.Fatalf("bundle fingerprint %s != index %s", man.Fingerprint, ix.inner.ConfigFingerprint())
 	}
 	if man.WorkloadRecords == 0 {
 		t.Fatal("bundle carries no workload records despite full sampling")
 	}
 
 	// Same-index replay of the embedded workload must be a perfect match.
-	log, err := LoadWorkloadLog(man.Dir + "/workload.vaqwl")
+	log, err := workload.LoadLog(man.Dir + "/workload.vaqwl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := ix.ReplayWorkload(log, ReplayOptions{
-		Thresholds: ReplayThresholds{MinOverlap: 1},
+	rep, _, err := workload.Replay(log, ix.inner.ReplayRunner(), workload.Options{
+		Thresholds: workload.Thresholds{MinOverlap: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,21 +92,18 @@ func TestFlightRecorderAlertBundleEndToEnd(t *testing.T) {
 }
 
 // TestFlightRecorderRacesMetricsAndTraffic hammers manual bundle triggers
-// against concurrent Search, Add and ResetMetrics — the race detector run
+// against concurrent Search, Add and registry resets — the race detector run
 // proves the recorder's freeze path (metrics snapshot, Diagnose under the
 // index read lock, workload-ring snapshot, alert-bus reads) is safe
-// against every mutation path, and that ResetMetrics mid-flight never
+// against every mutation path, and that a reset mid-flight never
 // wedges a latch.
 func TestFlightRecorderRacesMetricsAndTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	data := genData(rng, 900, 24)
-	ix, err := Build(data, Config{
+	ix := buildCore(t, data, core.Config{
 		NumSubspaces: 6, Budget: 36, Seed: 9, TIClusters: 20,
-		SLO: &SLO{LatencyTarget: time.Nanosecond, Window: 16},
+		SLO: &metrics.SLO{LatencyTarget: time.Nanosecond, Window: 16},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec, err := ix.EnableFlightRecorder("race_index", BundleConfig{
 		Dir:              t.TempDir(),
 		TriggerDelay:     time.Millisecond,
@@ -147,7 +147,7 @@ func TestFlightRecorderRacesMetricsAndTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			ix.ResetMetrics()
+			ix.inner.Metrics().Reset()
 		}
 	}()
 	wg.Wait()
@@ -155,7 +155,7 @@ func TestFlightRecorderRacesMetricsAndTraffic(t *testing.T) {
 		t.Fatalf("DisableFlightRecorder: %v", err)
 	}
 
-	mans, err := ListBundles(rec.Dir())
+	mans, err := bundle.List(rec.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,19 +163,19 @@ func TestFlightRecorderRacesMetricsAndTraffic(t *testing.T) {
 		t.Fatalf("%d bundles, want at least the %d manual triggers", len(mans), rounds)
 	}
 	for _, m := range mans {
-		if _, err := ValidateBundle(m.Dir); err != nil {
+		if _, err := bundle.Validate(m.Dir); err != nil {
 			t.Fatalf("bundle written under race is invalid: %v", err)
 		}
 	}
 
-	// ResetMetrics re-armed the SLO latch; fresh traffic must be able to
+	// The reset re-armed the SLO latch; fresh traffic must be able to
 	// breach it again (the bus survives resets, sources keep identity).
-	bus := ix.Alerts()
+	bus := ix.inner.Metrics().Alerts()
 	src := bus.Lookup("vaq.slo.latency")
 	if src == nil {
 		t.Fatal("vaq.slo.latency missing from the bus")
 	}
-	ix.ResetMetrics()
+	ix.inner.Metrics().Reset()
 	before := src.Fires()
 	for qi := 0; qi < 20; qi++ {
 		if _, err := ix.Search(data[qi], 5); err != nil {
@@ -183,7 +183,7 @@ func TestFlightRecorderRacesMetricsAndTraffic(t *testing.T) {
 		}
 	}
 	if src.Fires() != before+1 {
-		t.Fatalf("latch did not re-fire after ResetMetrics: %d fires, had %d", src.Fires(), before)
+		t.Fatalf("latch did not re-fire after a registry reset: %d fires, had %d", src.Fires(), before)
 	}
 }
 
@@ -193,15 +193,10 @@ func TestFlightRecorderRacesMetricsAndTraffic(t *testing.T) {
 func TestShardedFlightRecorderSkewBundle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	data := genData(rng, 900, 24)
-	sx, err := BuildSharded(data, Config{
-		NumSubspaces: 6, Budget: 36, Seed: 21, Shards: 3,
-		// Per-query skew ratio slowest*S/total is >= 1 by construction, so
-		// threshold 1 latches on the first scatter and never recovers.
-		ShardSkewAlertRatio: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Per-query skew ratio slowest*S/total is >= 1 by construction, so
+	// threshold 1 latches on the first scatter and never recovers.
+	sx := buildShardedCore(t, data, core.Config{NumSubspaces: 6, Budget: 36, Seed: 21},
+		shard.Options{Shards: 3, SkewAlertRatio: 1})
 	dir := t.TempDir()
 	rec, err := sx.EnableFlightRecorder("sharded_index", BundleConfig{
 		Dir:                dir,
@@ -212,7 +207,7 @@ func TestShardedFlightRecorderSkewBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi := 0; qi < 30; qi++ {
-		if _, err := sx.Search(data[qi*7], 10); err != nil {
+		if _, err := sx.SearchWith(data[qi*7], 10, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,14 +219,14 @@ func TestShardedFlightRecorderSkewBundle(t *testing.T) {
 		t.Fatalf("DisableFlightRecorder: %v", err)
 	}
 
-	mans, err := ListBundles(dir)
+	mans, err := bundle.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mans) != 1 {
 		t.Fatalf("%d bundles after one skew edge, want exactly 1", len(mans))
 	}
-	man, err := ValidateBundle(mans[0].Dir)
+	man, err := bundle.Validate(mans[0].Dir)
 	if err != nil {
 		t.Fatalf("ValidateBundle: %v", err)
 	}
@@ -241,15 +236,15 @@ func TestShardedFlightRecorderSkewBundle(t *testing.T) {
 	if man.Shards != 3 {
 		t.Fatalf("bundle shards %d, want 3", man.Shards)
 	}
-	log, err := LoadWorkloadLog(man.Dir + "/workload.vaqwl")
+	log, err := workload.LoadLog(man.Dir + "/workload.vaqwl")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if log.Shards != 3 {
 		t.Fatalf("workload log shards %d, want 3", log.Shards)
 	}
-	rep, _, err := sx.ReplayWorkload(log, ReplayOptions{
-		Thresholds: ReplayThresholds{MinOverlap: 1},
+	rep, _, err := workload.Replay(log, sx.inner.ReplayRunner(), workload.Options{
+		Thresholds: workload.Thresholds{MinOverlap: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vaq/internal/core"
+	"vaq/internal/history"
+	"vaq/internal/metrics"
 )
 
 // TestHistoryEndToEnd drives the public history surface on an index whose
@@ -15,24 +19,18 @@ import (
 func TestHistoryEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	data := genData(rng, 900, 24)
-	ix, err := Build(data, Config{
+	ix := buildCore(t, data, core.Config{
 		NumSubspaces: 6, Budget: 36, Seed: 11, TIClusters: 20,
-		SLO: &SLO{LatencyTarget: time.Nanosecond, Window: 16},
+		SLO: &metrics.SLO{LatencyTarget: time.Nanosecond, Window: 16},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	col, err := ix.EnableHistory("hist_index", HistoryConfig{
 		Interval: 10 * time.Millisecond,
-		Burn: []BurnRule{
+		Burn: []history.BurnRule{
 			{Name: "fast", Window: 300 * time.Millisecond, Confirm: 50 * time.Millisecond, Threshold: 2},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ix.History() != col {
-		t.Fatal("History() does not return the armed collector")
 	}
 	if _, err := ix.EnableHistory("again", HistoryConfig{}); err == nil {
 		t.Fatal("second EnableHistory should error while armed")
@@ -51,7 +49,7 @@ func TestHistoryEndToEnd(t *testing.T) {
 
 	// Violating traffic until the fast burn rule is eligible and fires.
 	deadline = time.Now().Add(5 * time.Second)
-	bus := ix.Alerts()
+	bus := ix.inner.Metrics().Alerts()
 	for time.Now().Before(deadline) && !bus.Lookup("vaq.burn.latency.fast").Firing() {
 		for i := 0; i < 10; i++ {
 			if _, err := ix.Search(data[i], 5); err != nil {
@@ -76,7 +74,7 @@ func TestHistoryEndToEnd(t *testing.T) {
 		t.Fatalf("queries series last = %+v ok=%v", p, ok)
 	}
 	d := col.Dump()
-	if err := ValidateHistoryDump(d); err != nil {
+	if err := history.ValidateDump(d); err != nil {
 		t.Fatalf("live dump invalid: %v", err)
 	}
 	if d.Collector != "hist_index" {
@@ -84,12 +82,13 @@ func TestHistoryEndToEnd(t *testing.T) {
 	}
 
 	ix.DisableHistory()
-	if ix.History() != nil {
-		t.Fatal("DisableHistory left the collector armed")
+	if _, err := ix.EnableHistory("rearm", HistoryConfig{}); err != nil {
+		t.Fatalf("DisableHistory left the collector armed: %v", err)
 	}
+	ix.DisableHistory()
 	// The instantaneous edge is back in charge: fresh violating traffic
 	// pages through vaq.slo.latency again.
-	ix.ResetMetrics()
+	ix.inner.Metrics().Reset()
 	for i := 0; i < 20; i++ {
 		if _, err := ix.Search(data[i], 5); err != nil {
 			t.Fatal(err)
@@ -101,20 +100,17 @@ func TestHistoryEndToEnd(t *testing.T) {
 }
 
 // TestHistoryRacesMetricsAndTraffic runs the collector's background
-// sampler against concurrent Search, Add and ResetMetrics — the race
+// sampler against concurrent Search, Add and registry resets — the race
 // detector run proves the lock-free series writes and the snapshot reads
 // are safe against every mutation path, and the dump taken afterwards
 // still validates.
 func TestHistoryRacesMetricsAndTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	data := genData(rng, 900, 24)
-	ix, err := Build(data, Config{
+	ix := buildCore(t, data, core.Config{
 		NumSubspaces: 6, Budget: 36, Seed: 13, TIClusters: 20,
-		SLO: &SLO{LatencyTarget: time.Nanosecond, Window: 16},
+		SLO: &metrics.SLO{LatencyTarget: time.Nanosecond, Window: 16},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	col, err := ix.EnableHistory("race_hist", HistoryConfig{Interval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +141,7 @@ func TestHistoryRacesMetricsAndTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			ix.ResetMetrics()
+			ix.inner.Metrics().Reset()
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -168,7 +164,7 @@ func TestHistoryRacesMetricsAndTraffic(t *testing.T) {
 	wg.Wait()
 
 	d := col.Dump()
-	if err := ValidateHistoryDump(d); err != nil {
+	if err := history.ValidateDump(d); err != nil {
 		t.Fatalf("dump after race invalid: %v", err)
 	}
 	ix.DisableHistory()
@@ -180,7 +176,7 @@ func TestHistoryRacesMetricsAndTraffic(t *testing.T) {
 func TestShardedHistoryWatchesEveryShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	data := genData(rng, 900, 32)
-	sx, err := BuildSharded(data, Config{NumSubspaces: 8, Budget: 48, Seed: 17, Shards: 4})
+	sx, err := BuildShardedWithTrainingSet(data, data, Config{NumSubspaces: 8, Budget: 48, Seed: 17, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +187,7 @@ func TestShardedHistoryWatchesEveryShard(t *testing.T) {
 	defer sx.DisableHistory()
 
 	for qi := 0; qi < 30; qi++ {
-		if _, err := sx.Search(data[qi], 5); err != nil {
+		if _, err := sx.SearchWith(data[qi], 5, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +229,7 @@ func TestShardedHistoryWatchesEveryShard(t *testing.T) {
 	}
 	var sb strings.Builder
 	d := col.Dump()
-	if err := ValidateHistoryDump(d); err != nil {
+	if err := history.ValidateDump(d); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Targets) != 5 {

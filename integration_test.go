@@ -1,6 +1,7 @@
 package vaq_test
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -37,11 +38,11 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	// Persist and reload.
-	path := t.TempDir() + "/lifecycle.vaqi"
-	if err := ix.Save(path); err != nil {
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ix, err = vaq.Load(path)
+	ix, err = vaq.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

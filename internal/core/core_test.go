@@ -457,7 +457,7 @@ func TestBuildAndSearchEndToEnd(t *testing.T) {
 	if sum != 64 {
 		t.Fatalf("bits %v don't sum to budget", bits)
 	}
-	if got := len(ix.SubspaceLengths()); got != 8 {
+	if got := len(ix.cb.Sub.Lengths); got != 8 {
 		t.Fatalf("subspace count %d", got)
 	}
 	res, err := ix.Search(x.Row(10), 10)

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"log/slog"
-	"runtime/pprof"
 	"time"
 
 	"vaq/internal/alert"
@@ -202,44 +200,4 @@ func countDeadCodewords(cb *quantizer.Codebooks, codes *quantizer.Codes) int {
 		}
 	}
 	return total - live
-}
-
-// profileCtxs hold the precomputed pprof label sets the query path
-// switches between, one per search phase. Precomputing them means
-// enabling profiling labels costs pprof.SetGoroutineLabels calls (a
-// pointer store into the g) instead of per-query context allocation.
-type profileCtxs struct {
-	project, lut, scan context.Context
-	// clear restores the unlabeled state after a query.
-	clear context.Context
-}
-
-// SetProfileLabel (re)builds the pprof label contexts with the given
-// index label — call it with the name the index is published under so
-// CPU profiles split by index AND phase (vaq_phase = project | lut_fill
-// | scan). No-op unless Config.ProfileLabels is set. Safe while queries
-// are in flight: running queries keep the label set they loaded.
-func (ix *Index) SetProfileLabel(index string) {
-	if !ix.cfg.ProfileLabels {
-		return
-	}
-	base := context.Background()
-	mk := func(phase string) context.Context {
-		return pprof.WithLabels(base, pprof.Labels("vaq_phase", phase, "index", index))
-	}
-	ix.profCtx.Store(&profileCtxs{
-		project: mk("project"),
-		lut:     mk("lut_fill"),
-		scan:    mk("scan"),
-		clear:   base,
-	})
-}
-
-// EnableProfileLabels turns profiling labels on after the fact — the hook
-// for indexes loaded from disk, whose on-disk format carries no runtime
-// knobs — and labels profiles with the given index name. Not safe to call
-// concurrently with itself; safe while queries are in flight.
-func (ix *Index) EnableProfileLabels(index string) {
-	ix.cfg.ProfileLabels = true
-	ix.SetProfileLabel(index)
 }

@@ -50,9 +50,6 @@ func (ix *Index) DisableHistory() {
 	}
 }
 
-// History returns the armed collector, or nil.
-func (ix *Index) History() *history.Collector { return ix.hist.Load() }
-
 // burnEvent is the default history.Config.OnBurn: one vaq.burn slog event
 // per burn-rule breach edge (the alert source latches the edge, so this
 // fires exactly once per crossing and re-arms on recovery). Runs on the

@@ -52,7 +52,7 @@ func observeTestIndex(t *testing.T, cfg Config) (*Index, *vec.Matrix) {
 func TestTracingEndToEnd(t *testing.T) {
 	ix, x := observeTestIndex(t, Config{})
 	tr := ix.EnableTracing(trace.Config{RingSize: 32, SlowThreshold: 1, Exemplars: 4})
-	if ix.Tracer() != tr {
+	if ix.tracer.Load() != tr {
 		t.Fatal("Tracer() does not return the enabled tracer")
 	}
 	s := ix.NewSearcher()
@@ -135,7 +135,7 @@ func TestTracingEndToEnd(t *testing.T) {
 
 	// Disabling stops new searchers; existing recorders can be detached.
 	ix.DisableTracing()
-	if ix.Tracer() != nil {
+	if ix.tracer.Load() != nil {
 		t.Fatal("DisableTracing left a tracer")
 	}
 	count := tr.Count()

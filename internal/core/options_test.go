@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -166,7 +167,7 @@ func TestSubspaceVarianceInvariants(t *testing.T) {
 		if math.Abs(sum-1) > 1e-6 {
 			t.Fatalf("nonUniform=%v: variances sum to %v", nonUniform, sum)
 		}
-		lengths := ix.SubspaceLengths()
+		lengths := ix.cb.Sub.Lengths
 		total := 0
 		for _, l := range lengths {
 			if l < 1 {
@@ -176,6 +177,50 @@ func TestSubspaceVarianceInvariants(t *testing.T) {
 		}
 		if total != 32 {
 			t.Fatalf("lengths %v don't cover 32 dims", lengths)
+		}
+	}
+}
+
+// VisitFrac is 0 (the index default) or a fraction in (0, 1]; NaN and
+// values outside [0, 1] are errors at every search entry point, counted
+// like any other rejected query, in both accuracy modes.
+func TestVisitFracContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	x := skewedData(rng, 400, 16, 1.0)
+	for _, acc := range []AccuracyMode{AccuracyExact, AccuracyFast} {
+		ix, err := Build(x, x, Config{NumSubspaces: 4, Budget: 24, Seed: 27, TIClusters: 8, AccuracyMode: acc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ix.NewSearcher()
+		qz, err := ix.ProjectQuery(x.Row(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := map[string]func(SearchOptions) error{
+			"Index.SearchWith": func(o SearchOptions) error { _, err := ix.SearchWith(x.Row(3), 5, o); return err },
+			"Searcher.Search":  func(o SearchOptions) error { _, err := s.Search(x.Row(3), 5, o); return err },
+			"Searcher.SearchProjected": func(o SearchOptions) error {
+				_, err := s.SearchProjected(qz, 5, o)
+				return err
+			},
+		}
+		for name, search := range entries {
+			for _, f := range []float64{math.NaN(), -0.1, math.Inf(-1), 1.0000001, 2, math.Inf(1)} {
+				before := ix.Metrics().Snapshot().Errors
+				err := search(SearchOptions{VisitFrac: f})
+				if err == nil || !strings.Contains(err.Error(), "VisitFrac") {
+					t.Errorf("%v %s VisitFrac %v: got %v, want a VisitFrac error", acc, name, f, err)
+				}
+				if got := ix.Metrics().Snapshot().Errors - before; got != 1 {
+					t.Errorf("%v %s VisitFrac %v: %d errors counted, want 1", acc, name, f, got)
+				}
+			}
+			for _, f := range []float64{0, 0.01, 0.5, 1} {
+				if err := search(SearchOptions{VisitFrac: f}); err != nil {
+					t.Errorf("%v %s VisitFrac %v: %v", acc, name, f, err)
+				}
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime/pprof"
 	"time"
 
 	"vaq/internal/metrics"
@@ -43,7 +42,8 @@ type SearchOptions struct {
 	// Mode selects the pruning strategy (default ModeTIEA).
 	Mode SearchMode
 	// VisitFrac overrides the fraction of TI clusters visited
-	// (0 = the index's DefaultVisitFrac). Only meaningful for ModeTIEA.
+	// (0 = the index's DefaultVisitFrac). Only meaningful for ModeTIEA,
+	// but every search rejects NaN and values outside [0, 1].
 	VisitFrac float64
 	// Subspaces limits distance accumulation to the first t subspaces
 	// (0 = all). Used by the Figure 4 subspace-omission experiment; it
@@ -58,6 +58,19 @@ type SearchOptions struct {
 	// pruning power. A bound equal to the true k-th distance keeps
 	// boundary ties (admission rejects strictly-greater only).
 	InitialThreshold float32
+}
+
+// CheckSearchArgs enforces the query-argument contract every search entry
+// point shares: k >= 1, and VisitFrac either 0 (the index default) or a
+// fraction in (0, 1]. NaN and values outside [0, 1] are errors.
+func CheckSearchArgs(k int, opt SearchOptions) error {
+	if k < 1 {
+		return fmt.Errorf("k must be >= 1, got %d", k)
+	}
+	if !(opt.VisitFrac >= 0 && opt.VisitFrac <= 1) {
+		return fmt.Errorf("VisitFrac must be in [0, 1], got %v", opt.VisitFrac)
+	}
+	return nil
 }
 
 // Search returns the approximate k nearest neighbors of q with default
@@ -199,27 +212,19 @@ func (s *Searcher) AttachTracer(t *trace.Tracer) { s.rec = t.NewRecorder() }
 // Search runs one query through the reusable context. q is the RAW
 // (unprojected) query.
 func (s *Searcher) Search(q []float32, k int, opt SearchOptions) ([]vec.Neighbor, error) {
-	if k < 1 {
+	if err := CheckSearchArgs(k, opt); err != nil {
 		s.ix.metrics.RecordError()
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	var projStart time.Time
 	if s.rec.Active() {
 		projStart = time.Now()
-	}
-	if pc := s.ix.profCtx.Load(); pc != nil {
-		// Label the projection phase; run switches to lut_fill/scan and
-		// clears the labels when the query finishes.
-		pprof.SetGoroutineLabels(pc.project)
 	}
 	if s.projAcc == nil {
 		s.projAcc = make([]float64, s.ix.model.Dim)
 	}
 	qz, err := s.ix.projectQueryInto(q, s.projQ, s.projAcc)
 	if err != nil {
-		if pc := s.ix.profCtx.Load(); pc != nil {
-			pprof.SetGoroutineLabels(pc.clear)
-		}
 		s.ix.metrics.RecordError()
 		return nil, err
 	}
@@ -233,9 +238,9 @@ func (s *Searcher) Search(q []float32, k int, opt SearchOptions) ([]vec.Neighbor
 
 // SearchProjected runs one query that is already in the index's PCA space.
 func (s *Searcher) SearchProjected(qz []float32, k int, opt SearchOptions) ([]vec.Neighbor, error) {
-	if k < 1 {
+	if err := CheckSearchArgs(k, opt); err != nil {
 		s.ix.metrics.RecordError()
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if len(qz) != s.ix.cb.Sub.Dim() {
 		s.ix.metrics.RecordError()
@@ -255,7 +260,6 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	// meanwhile.
 	s.st = ix.state.Load()
 	rec := s.rec
-	pc := ix.profCtx.Load()
 	wcap := ix.capture.Load()
 	var start time.Time
 	if ix.metrics != nil || wcap != nil {
@@ -289,9 +293,6 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	// path fills the (much smaller) tables over the integer store's scan
 	// dictionaries and quantizes those; the full-dictionary LUT is neither
 	// filled nor read — the exact re-rank goes back to the codebooks.
-	if pc != nil {
-		pprof.SetGoroutineLabels(pc.lut)
-	}
 	lutStart := rec.Clock()
 	if fast {
 		s.flut = s.st.fast.fillFloatLUT(qz, s.flut)
@@ -333,9 +334,6 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 		if rec.Active() {
 			rec.Add(trace.Span{Name: trace.SpanLUTQuant, Start: quantStart, Dur: rec.Clock() - quantStart})
 		}
-	}
-	if pc != nil {
-		pprof.SetGoroutineLabels(pc.scan)
 	}
 	scanStart := rec.Clock()
 	switch mode {
@@ -397,9 +395,6 @@ func (s *Searcher) run(qz []float32, k int, opt SearchOptions) []vec.Neighbor {
 	// exemplar durations measure the approximate query, not the audit.
 	if ix.recallEvery > 0 && ix.recallCtr.Add(1)%ix.recallEvery == 0 {
 		s.shadowRecallSample(qz, k, res)
-	}
-	if pc != nil {
-		pprof.SetGoroutineLabels(pc.clear)
 	}
 	// An idle (pooled) Searcher keeps neither a superseded state nor the
 	// caller's query alive.
@@ -527,11 +522,8 @@ func (s *Searcher) scanEA(useSub int) {
 func (s *Searcher) orderClusters(qz []float32, visitFrac float64) int {
 	ix := s.ix
 	ti := s.st.ti
-	if visitFrac <= 0 {
+	if visitFrac == 0 {
 		visitFrac = ix.cfg.DefaultVisitFrac
-	}
-	if visitFrac > 1 {
-		visitFrac = 1
 	}
 	nClusters := len(ti.clusters)
 	visit := int(math.Ceil(visitFrac * float64(nClusters)))

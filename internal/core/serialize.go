@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"os"
 	"time"
 
 	"vaq/internal/linalg"
@@ -382,14 +381,11 @@ func Read(r io.Reader) (*Index, error) {
 	if n < 0 || n > 1<<34 {
 		return nil, fmt.Errorf("core: implausible vector count %d", n)
 	}
-	codes := quantizer.NewCodes(n, m)
-	buf := make([]byte, 2*len(codes.Data))
-	if _, err := io.ReadFull(br, buf); err != nil {
+	codeData, err := vec.ReadLittleEndian[uint16](br, uint64(n*m))
+	if err != nil {
 		return nil, fmt.Errorf("core: codes: %w", err)
 	}
-	for i := range codes.Data {
-		codes.Data[i] = binary.LittleEndian.Uint16(buf[2*i:])
-	}
+	codes := &quantizer.Codes{N: n, M: m, Data: codeData}
 	// TI structure.
 	prefixU, err := readU64(br)
 	if err != nil {
@@ -410,9 +406,8 @@ func Read(r io.Reader) (*Index, error) {
 		prefixSubspaces: int(prefixU),
 		prefixDim:       centroids.Cols,
 		centroids:       centroids,
-		clusters:        make([][]tiEntry, clusterCount),
 	}
-	for c := range ti.clusters {
+	for c := uint64(0); c < clusterCount; c++ {
 		lenU, err := readU64(br)
 		if err != nil {
 			return nil, err
@@ -420,20 +415,24 @@ func Read(r io.Reader) (*Index, error) {
 		if lenU > uint64(n) {
 			return nil, fmt.Errorf("core: implausible TI cluster size %d", lenU)
 		}
-		members := make([]tiEntry, lenU)
-		eb := make([]byte, 8*lenU)
-		if _, err := io.ReadFull(br, eb); err != nil {
+		// Each member is a uint32 id and a float32 distance.
+		words, err := vec.ReadLittleEndian[uint32](br, 2*lenU)
+		if err != nil {
 			return nil, err
 		}
+		members := make([]tiEntry, lenU)
 		for i := range members {
-			members[i].id = int(binary.LittleEndian.Uint32(eb[8*i:]))
-			members[i].dist = math.Float32frombits(binary.LittleEndian.Uint32(eb[8*i+4:]))
+			members[i].id = int(words[2*i])
+			members[i].dist = math.Float32frombits(words[2*i+1])
 		}
-		ti.clusters[c] = members
+		ti.clusters = append(ti.clusters, members)
 	}
 	queryDim, err := readU64(br)
 	if err != nil {
 		return nil, err
+	}
+	if err := checkLoaded(cfg, model, bits, subVar, cb, codes, ti); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	// The blocked store is derived, not stored: rebuild it here so the
 	// loaded index scans exactly like a freshly built one.
@@ -457,25 +456,66 @@ func Read(r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// Save writes the index to a file.
-func (ix *Index) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// checkLoaded enforces the cross-field invariants the query, Add and
+// diagnostics paths index by without checking, so a corrupt or hostile
+// stream fails in Read instead of panicking or hanging later.
+func checkLoaded(cfg Config, model *pca.Model, bits []int, subVar []float64, cb *quantizer.Codebooks, codes *quantizer.Codes, ti *tiIndex) error {
+	if cfg.EACheckEvery < 1 || cfg.EACheckEvery > 1<<16 {
+		return fmt.Errorf("early-abandon stride %d", cfg.EACheckEvery)
 	}
-	if _, err := ix.WriteTo(f); err != nil {
-		f.Close()
-		return err
+	if !(cfg.DefaultVisitFrac > 0 && cfg.DefaultVisitFrac <= 1) {
+		return fmt.Errorf("default visit fraction %v outside (0, 1]", cfg.DefaultVisitFrac)
 	}
-	return f.Close()
-}
-
-// Load reads an index from a file.
-func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	d := model.Dim
+	if d < 1 || model.Components.Cols != d || len(model.Eigenvalues) != d ||
+		(model.Mean != nil && len(model.Mean) != d) {
+		return fmt.Errorf("PCA model shape: dim %d, components %dx%d, %d eigenvalues, %d means",
+			d, model.Components.Rows, model.Components.Cols, len(model.Eigenvalues), len(model.Mean))
 	}
-	defer f.Close()
-	return Read(f)
+	m := cb.Sub.M()
+	if cb.Sub.Dim() > d || len(subVar) != m {
+		return fmt.Errorf("subspaces cover %d of %d dimensions with %d variances for %d subspaces", cb.Sub.Dim(), d, len(subVar), m)
+	}
+	for s, book := range cb.Books {
+		if bits[s] < 0 || bits[s] > 16 || book.Rows < 1 || book.Rows > 1<<bits[s] || book.Cols != cb.Sub.Lengths[s] {
+			return fmt.Errorf("subspace %d: %dx%d dictionary for %d bits over %d dimensions", s, book.Rows, book.Cols, bits[s], cb.Sub.Lengths[s])
+		}
+	}
+	top := make([]uint16, m)
+	for i := 0; i < codes.N; i++ {
+		row := codes.Row(i)
+		top := top[:len(row)]
+		for s, c := range row {
+			top[s] = max(top[s], c)
+		}
+	}
+	for s, c := range top {
+		if int(c) >= cb.Books[s].Rows {
+			return fmt.Errorf("code %d outside subspace %d's %d entries", c, s, cb.Books[s].Rows)
+		}
+	}
+	prefixDim := 0
+	if ti.prefixSubspaces >= 1 && ti.prefixSubspaces <= m {
+		prefixDim = cb.Sub.Offsets[ti.prefixSubspaces-1] + cb.Sub.Lengths[ti.prefixSubspaces-1]
+	}
+	if prefixDim == 0 || ti.centroids.Cols != prefixDim || ti.centroids.Rows != len(ti.clusters) {
+		return fmt.Errorf("TI centroids %dx%d for %d clusters over %d of %d subspaces",
+			ti.centroids.Rows, ti.centroids.Cols, len(ti.clusters), ti.prefixSubspaces, m)
+	}
+	// Every vector sits in exactly one cluster.
+	seen := make([]bool, codes.N)
+	members := 0
+	for _, cl := range ti.clusters {
+		for _, e := range cl {
+			if e.id >= codes.N || seen[e.id] {
+				return fmt.Errorf("TI member id %d out of range or repeated", e.id)
+			}
+			seen[e.id] = true
+		}
+		members += len(cl)
+	}
+	if members != codes.N {
+		return fmt.Errorf("TI clusters hold %d of %d vectors", members, codes.N)
+	}
+	return nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -70,33 +72,6 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIndexFileRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	x := skewedData(rng, 300, 16, 1.0)
-	ix, err := Build(x, x, Config{NumSubspaces: 4, Budget: 24, Seed: 22, TIClusters: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/index.vaqi"
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, _ := ix.Search(x.Row(5), 3)
-	res2, _ := got.Search(x.Row(5), 3)
-	for i := range res1 {
-		if res1[i] != res2[i] {
-			t.Fatalf("file round trip answers differ: %v vs %v", res1, res2)
-		}
-	}
-	if _, err := Load(path + ".missing"); err == nil {
-		t.Fatal("missing file must fail")
-	}
-}
-
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input must fail")
@@ -126,5 +101,43 @@ func TestReadRejectsGarbage(t *testing.T) {
 	bad[4] = 0xFF
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad version must fail")
+	}
+}
+
+// Read refuses a stream that parses but breaks an invariant the query
+// path relies on, and a length it would have to allocate on trust.
+func TestReadRejectsInconsistentStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	x := skewedData(rng, 100, 8, 1.0)
+	ix, err := Build(x, x, Config{NumSubspaces: 2, Budget: 8, Seed: 24, TIClusters: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	// Offsets: magic, version, then twelve u64 config words, the layout
+	// word, TargetVariance, DefaultVisitFrac and the eigenvalue count.
+	const cfgWord, visitFrac, eigenCount = 12, 12 + 14*8, 12 + 15*8
+	edit := func(off int, v uint64) []byte {
+		b := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(b[off:], v)
+		return b
+	}
+	for name, b := range map[string][]byte{
+		"early-abandon stride overflows": edit(cfgWord+6*8, math.MaxInt64),
+		"early-abandon stride 0":         edit(cfgWord+6*8, 0),
+		"default visit fraction NaN":     edit(visitFrac, math.Float64bits(math.NaN())),
+		"default visit fraction 2":       edit(visitFrac, math.Float64bits(2)),
+		"eigenvalue count 2^32":          edit(eigenCount, 1<<32),
+	} {
+		if _, err := Read(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: Read accepted the stream", name)
+		}
+	}
+	if _, err := Read(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("unedited stream: %v", err)
 	}
 }

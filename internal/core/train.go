@@ -60,6 +60,13 @@ func Train(train *vec.Matrix, cfg Config) (*Trained, error) {
 	if cfg.AccuracyMode != AccuracyExact && cfg.AccuracyMode != AccuracyFast {
 		return nil, fmt.Errorf("core: unknown AccuracyMode %d", cfg.AccuracyMode)
 	}
+	// Read refuses a stream outside these ranges, so Build does too.
+	if !(cfg.DefaultVisitFrac > 0 && cfg.DefaultVisitFrac <= 1) {
+		return nil, fmt.Errorf("core: DefaultVisitFrac must be in (0, 1], got %v", cfg.DefaultVisitFrac)
+	}
+	if cfg.EACheckEvery > 1<<16 {
+		return nil, fmt.Errorf("core: EACheckEvery %d exceeds %d", cfg.EACheckEvery, 1<<16)
+	}
 	if err := vec.CheckFinite(train); err != nil {
 		return nil, fmt.Errorf("core: train: %w", err)
 	}
@@ -249,7 +256,6 @@ func (t *Trained) encodeIndex(data, dataZ *vec.Matrix) (*Index, error) {
 	}
 	st.driftEWMA = ix.initDiagnostics(baseRep)
 	ix.state.Store(st)
-	ix.SetProfileLabel("vaq")
 	if cfg.Logger != nil {
 		cfg.Logger.Info("vaq.build",
 			slog.Int("n", data.Rows), slog.Int("dim", t.queryDim),

@@ -109,13 +109,6 @@ type Config struct {
 	// metrics (no effect under DisableMetrics). Runtime-only, never
 	// serialized.
 	SLO *metrics.SLO
-	// ProfileLabels tags query goroutines with runtime/pprof labels
-	// (vaq_phase = project | lut_fill | scan, plus an index label set via
-	// SetProfileLabel) so CPU profiles attribute samples to search phases.
-	// Off by default: when off the query path pays one atomic load; when
-	// on, three goroutine-label stores per query. Runtime-only, never
-	// serialized.
-	ProfileLabels bool
 }
 
 func (c Config) withDefaults() Config {
@@ -190,9 +183,6 @@ type Index struct {
 	baseline    *diag.Report
 	baselineMSE []float64
 	driftSrc    *alert.Source
-	// profCtx holds precomputed pprof label sets (nil unless
-	// Config.ProfileLabels; see SetProfileLabel).
-	profCtx atomic.Pointer[profileCtxs]
 }
 
 // Build trains a VAQ index: PCA (Algorithm 1), subspace construction and
@@ -238,11 +228,6 @@ func (ix *Index) Dim() int { return ix.queryDim }
 
 // Bits returns the per-subspace bit allocation (a copy).
 func (ix *Index) Bits() []int { return append([]int(nil), ix.bits...) }
-
-// SubspaceLengths returns the per-subspace dimension counts (a copy).
-func (ix *Index) SubspaceLengths() []int {
-	return append([]int(nil), ix.cb.Sub.Lengths...)
-}
 
 // SubspaceVariances returns each subspace's share of the explained
 // variance after partial balancing (a copy).
@@ -318,14 +303,6 @@ func (ix *Index) EnableTracing(cfg trace.Config) *trace.Tracer {
 // runs untraced, while existing Searchers keep their recorders until
 // replaced.
 func (ix *Index) DisableTracing() { ix.tracer.Store(nil) }
-
-// Tracer returns the active tracer, or nil when tracing is disabled.
-func (ix *Index) Tracer() *trace.Tracer { return ix.tracer.Load() }
-
-// SetLogger replaces the structured logger used by Add and WriteTo —
-// the hook for indexes loaded from disk, whose on-disk config carries no
-// logger. nil discards.
-func (ix *Index) SetLogger(l *slog.Logger) { ix.cfg.Logger = l }
 
 // RecallSampling reports the effective shadow-exact sampling stride: every
 // n-th query is verified (0 = sampling disabled — never configured, or the

@@ -37,7 +37,7 @@ func Segment1D(values []float64, k int) ([]int, error) {
 	pre2 := make([]float64, n+1)
 	for i, v := range values {
 		pre[i+1] = pre[i] + v
-		pre2[i+1] = pre2[i] + v*v
+		pre2[i+1] = pre2[i] + float64(v*v)
 	}
 	cost := func(i, j int) float64 { // [i, j)
 		cnt := float64(j - i)

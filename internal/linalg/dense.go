@@ -88,7 +88,7 @@ func (m *Dense) Mul(b *Dense) (*Dense, error) {
 			}
 			bk := b.Row(k)
 			for j, bkj := range bk {
-				ro[j] += aik * bkj
+				ro[j] += float64(aik * bkj)
 			}
 		}
 	}
@@ -105,7 +105,7 @@ func (m *Dense) MulVec(x []float64) ([]float64, error) {
 		r := m.Row(i)
 		var s float64
 		for j, v := range r {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		out[i] = s
 	}
@@ -192,7 +192,7 @@ func Covariance(x *vec.Matrix, center bool) *Dense {
 			}
 			ca := cov.Row(a)
 			for b := a; b < d; b++ {
-				ca[b] += va * row[b]
+				ca[b] += float64(va * row[b])
 			}
 		}
 	}

@@ -100,7 +100,7 @@ func jacobiEig(w *Dense) (*EigResult, error) {
 		var off float64
 		for p := 0; p < n; p++ {
 			for q := p + 1; q < n; q++ {
-				off += w.At(p, q) * w.At(p, q)
+				off += float64(w.At(p, q) * w.At(p, q))
 			}
 		}
 		if off < 1e-28*float64(n*n) {
@@ -131,14 +131,14 @@ func jacobiEig(w *Dense) (*EigResult, error) {
 				if math.Abs(theta) > 1e150 {
 					t = 1 / (2 * theta)
 				} else {
-					t = math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+					t = math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
 				}
-				c := 1 / math.Sqrt(t*t+1)
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				tau := s / (1 + c)
 				// Apply rotation J(p,q,theta) on both sides of w.
-				w.Set(p, p, app-t*apq)
-				w.Set(q, q, aqq+t*apq)
+				w.Set(p, p, app-float64(t*apq))
+				w.Set(q, q, aqq+float64(t*apq))
 				w.Set(p, q, 0)
 				w.Set(q, p, 0)
 				for i := 0; i < n; i++ {
@@ -147,16 +147,16 @@ func jacobiEig(w *Dense) (*EigResult, error) {
 					}
 					aip := w.At(i, p)
 					aiq := w.At(i, q)
-					w.Set(i, p, aip-s*(aiq+tau*aip))
+					w.Set(i, p, aip-float64(s*(aiq+float64(tau*aip))))
 					w.Set(p, i, w.At(i, p))
-					w.Set(i, q, aiq+s*(aip-tau*aiq))
+					w.Set(i, q, aiq+float64(s*(aip-float64(tau*aiq))))
 					w.Set(q, i, w.At(i, q))
 				}
 				for i := 0; i < n; i++ {
 					vip := v.At(i, p)
 					viq := v.At(i, q)
-					v.Set(i, p, vip-s*(viq+tau*vip))
-					v.Set(i, q, viq+s*(vip-tau*viq))
+					v.Set(i, p, vip-float64(s*(viq+float64(tau*vip))))
+					v.Set(i, q, viq+float64(s*(vip-float64(tau*viq))))
 				}
 			}
 		}
@@ -194,7 +194,7 @@ func tred2(a *Dense, d, e []float64) {
 			} else {
 				for k := 0; k <= l; k++ {
 					a.Set(i, k, a.At(i, k)/scale)
-					h += a.At(i, k) * a.At(i, k)
+					h += float64(a.At(i, k) * a.At(i, k))
 				}
 				f := a.At(i, l)
 				g := math.Sqrt(h)
@@ -202,28 +202,28 @@ func tred2(a *Dense, d, e []float64) {
 					g = -g
 				}
 				e[i] = scale * g
-				h -= f * g
+				h -= float64(f * g)
 				a.Set(i, l, f-g)
 				f = 0
 				for j := 0; j <= l; j++ {
 					a.Set(j, i, a.At(i, j)/h)
 					g = 0
 					for k := 0; k <= j; k++ {
-						g += a.At(j, k) * a.At(i, k)
+						g += float64(a.At(j, k) * a.At(i, k))
 					}
 					for k := j + 1; k <= l; k++ {
-						g += a.At(k, j) * a.At(i, k)
+						g += float64(a.At(k, j) * a.At(i, k))
 					}
 					e[j] = g / h
-					f += e[j] * a.At(i, j)
+					f += float64(e[j] * a.At(i, j))
 				}
 				hh := f / (h + h)
 				for j := 0; j <= l; j++ {
 					f = a.At(i, j)
-					g = e[j] - hh*f
+					g = e[j] - float64(hh*f)
 					e[j] = g
 					for k := 0; k <= j; k++ {
-						a.Set(j, k, a.At(j, k)-f*e[k]-g*a.At(i, k))
+						a.Set(j, k, a.At(j, k)-float64(f*e[k])-float64(g*a.At(i, k)))
 					}
 				}
 			}
@@ -240,10 +240,10 @@ func tred2(a *Dense, d, e []float64) {
 			for j := 0; j <= l; j++ {
 				var g float64
 				for k := 0; k <= l; k++ {
-					g += a.At(i, k) * a.At(k, j)
+					g += float64(a.At(i, k) * a.At(k, j))
 				}
 				for k := 0; k <= l; k++ {
-					a.Set(k, j, a.At(k, j)-g*a.At(k, i))
+					a.Set(k, j, a.At(k, j)-float64(g*a.At(k, i)))
 				}
 			}
 		}
@@ -286,7 +286,7 @@ func tqli(d, e []float64, z *Dense) error {
 			p := 0.0
 			for i := m - 1; i >= l; i-- {
 				f := s * e[i]
-				b := c * e[i]
+				b := float64(c * e[i])
 				r = math.Hypot(f, g)
 				e[i+1] = r
 				if r == 0 {
@@ -297,14 +297,14 @@ func tqli(d, e []float64, z *Dense) error {
 				s = f / r
 				c = g / r
 				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
+				r = float64((d[i]-g)*s) + float64(2*c*b)
+				p = float64(s * r)
 				d[i+1] = g + p
-				g = c*r - b
+				g = float64(c*r) - b
 				for k := 0; k < z.Rows; k++ {
 					f := z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+					z.Set(k, i+1, float64(s*z.At(k, i))+float64(c*f))
+					z.Set(k, i, float64(c*z.At(k, i))-float64(s*f))
 				}
 			}
 			if r == 0 && m-1 >= l {

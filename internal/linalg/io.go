@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"vaq/internal/vec"
 )
 
 var magicDense = [4]byte{'V', 'A', 'Q', '8'}
@@ -54,22 +56,11 @@ func ReadDense(r io.Reader) (*Dense, error) {
 	if rows < 0 || cols < 0 || (cols != 0 && rows > (1<<37)/cols) {
 		return nil, fmt.Errorf("linalg: implausible dense shape %dx%d", rows, cols)
 	}
-	m := NewDense(rows, cols)
-	buf := make([]byte, 8*4096)
-	for off := 0; off < len(m.Data); {
-		chunk := len(m.Data) - off
-		if chunk > 4096 {
-			chunk = 4096
-		}
-		if _, err := io.ReadFull(r, buf[:8*chunk]); err != nil {
-			return nil, fmt.Errorf("linalg: reading dense body: %w", err)
-		}
-		for i := 0; i < chunk; i++ {
-			m.Data[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		off += chunk
+	data, err := vec.ReadLittleEndian[float64](r, uint64(rows*cols))
+	if err != nil {
+		return nil, fmt.Errorf("linalg: reading dense body: %w", err)
 	}
-	return m, nil
+	return &Dense{Rows: rows, Cols: cols, Data: data}, nil
 }
 
 // WriteFloat64s writes a length-prefixed float64 slice.
@@ -93,17 +84,5 @@ func ReadFloat64s(r io.Reader) ([]float64, error) {
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint64(lenBuf[:])
-	if n > 1<<32 {
-		return nil, fmt.Errorf("linalg: implausible slice length %d", n)
-	}
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
+	return vec.ReadLittleEndian[float64](r, binary.LittleEndian.Uint64(lenBuf[:]))
 }

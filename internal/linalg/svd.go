@@ -85,15 +85,15 @@ func fillOrthonormalColumn(u *Dense, j int) {
 		for prev := 0; prev < j; prev++ {
 			var dot float64
 			for i := 0; i < n; i++ {
-				dot += col[i] * u.At(i, prev)
+				dot += float64(col[i] * u.At(i, prev))
 			}
 			for i := 0; i < n; i++ {
-				col[i] -= dot * u.At(i, prev)
+				col[i] -= float64(dot * u.At(i, prev))
 			}
 		}
 		var norm float64
 		for _, v := range col {
-			norm += v * v
+			norm += float64(v * v)
 		}
 		norm = math.Sqrt(norm)
 		if norm > 1e-6 {

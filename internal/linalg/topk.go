@@ -67,15 +67,15 @@ func orthonormalizeColumns(q *Dense) {
 		for prev := 0; prev < j; prev++ {
 			var dot float64
 			for i := 0; i < d; i++ {
-				dot += q.At(i, j) * q.At(i, prev)
+				dot += float64(q.At(i, j) * q.At(i, prev))
 			}
 			for i := 0; i < d; i++ {
-				q.Set(i, j, q.At(i, j)-dot*q.At(i, prev))
+				q.Set(i, j, q.At(i, j)-float64(dot*q.At(i, prev)))
 			}
 		}
 		var norm float64
 		for i := 0; i < d; i++ {
-			norm += q.At(i, j) * q.At(i, j)
+			norm += float64(q.At(i, j) * q.At(i, j))
 		}
 		norm = math.Sqrt(norm)
 		if norm < 1e-12 {

@@ -95,7 +95,7 @@ func SolveMILP(p *Problem) (*Solution, error) {
 				} else {
 					x[j] = sol.X[j]
 				}
-				obj += p.Objective[j] * x[j]
+				obj += float64(p.Objective[j] * x[j])
 			}
 			if incumbent == nil || obj > incumbent.Objective {
 				incumbent = &Solution{X: x, Objective: obj}

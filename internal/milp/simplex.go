@@ -212,7 +212,7 @@ func simplex(objective []float64, rows []Constraint) (*Solution, error) {
 				continue
 			}
 			for j := 0; j <= total; j++ {
-				t[i][j] -= f * t[pr][j]
+				t[i][j] -= float64(f * t[pr][j])
 			}
 		}
 		basis[pr] = pc
@@ -231,7 +231,7 @@ func simplex(objective []float64, rows []Constraint) (*Solution, error) {
 				red := obj[j]
 				for i := 0; i < m; i++ {
 					if basis[i] < len(obj) && obj[basis[i]] != 0 {
-						red -= obj[basis[i]] * t[i][j]
+						red -= float64(obj[basis[i]] * t[i][j])
 					}
 				}
 				if red > eps {
@@ -321,7 +321,7 @@ func simplex(objective []float64, rows []Constraint) (*Solution, error) {
 		if x[j] < 0 && x[j] > -1e-9 {
 			x[j] = 0
 		}
-		objVal += objective[j] * x[j]
+		objVal += float64(objective[j] * x[j])
 	}
 	return &Solution{X: x, Objective: objVal}, nil
 }

@@ -56,9 +56,6 @@ func (x *Index) DisableHistory() {
 	}
 }
 
-// History returns the armed collector, or nil.
-func (x *Index) History() *history.Collector { return x.hist.Load() }
-
 // burnEvent is the default history.Config.OnBurn for sharded indexes: one
 // vaq.burn slog event per burn-rule breach edge, on the collector
 // goroutine.

@@ -125,7 +125,7 @@ func TestShardedTraceSpans(t *testing.T) {
 	if got := tr.Count(); got != 1 {
 		t.Errorf("tracer saw %d queries after DisableTracing, want 1", got)
 	}
-	if x.Tracer() != nil {
+	if x.tracer.Load() != nil {
 		t.Error("Tracer() non-nil after DisableTracing")
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
+	"math"
+	"slices"
 
 	"vaq/internal/core"
 	"vaq/internal/metrics"
+	"vaq/internal/vec"
 )
 
 // Sharded container format ("VAQS", version 1): a thin envelope around
@@ -33,10 +35,9 @@ import (
 // shard always starts aligned. With S=1 the payload after the envelope is
 // byte-identical to the unsharded index's WriteTo output.
 const (
-	shardMagic            = "VAQS"
-	shardFormatVersion    = 1
-	maxReasonableShards   = 1 << 16
-	maxReasonableIDSlices = 1 << 31
+	shardMagic          = "VAQS"
+	shardFormatVersion  = 1
+	maxReasonableShards = 1 << 16
 )
 
 // WriteTo serializes the sharded index. It holds every shard's Add lock
@@ -129,24 +130,36 @@ func ReadLogged(r io.Reader, logger *slog.Logger) (*Index, error) {
 	if policy != uint64(PolicyRoundRobin) && policy != uint64(PolicyLeastLoaded) {
 		return nil, fmt.Errorf("shard: unknown policy %d", policy)
 	}
+	// Ids are int32 and every one must lie below nextID.
+	if nextID > math.MaxInt32+1 {
+		return nil, fmt.Errorf("shard: implausible next id %d", nextID)
+	}
 	x := &Index{
 		opts:   Options{Shards: int(shards), Policy: Policy(policy)},
-		states: make([]*shardState, shards),
 		logger: logger,
 	}
 	x.nextID.Store(int64(nextID))
-	for si := range x.states {
+	// Every global id, gathered to check uniqueness once all shards are
+	// read.
+	var all []int32
+	for si := 0; si < int(shards); si++ {
 		var idLen uint64
 		if err := rd(&idLen); err != nil {
 			return nil, fmt.Errorf("shard %d: reading id count: %w", si, err)
 		}
-		if idLen > maxReasonableIDSlices {
+		if idLen > nextID {
 			return nil, fmt.Errorf("shard %d: implausible id count %d", si, idLen)
 		}
-		ids, err := readIDs(r, idLen)
+		ids, err := vec.ReadLittleEndian[int32](r, idLen)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: reading id mapping: %w", si, err)
 		}
+		for _, id := range ids {
+			if id < 0 || uint64(id) >= nextID {
+				return nil, fmt.Errorf("shard %d: id %d outside [0, %d)", si, id, nextID)
+			}
+		}
+		all = append(all, ids...)
 		var blen uint64
 		if err := rd(&blen); err != nil {
 			return nil, fmt.Errorf("shard %d: reading stream length: %w", si, err)
@@ -169,7 +182,10 @@ func ReadLogged(r io.Reader, logger *slog.Logger) (*Index, error) {
 		if !monotone(ids) {
 			st.unordered.Store(true)
 		}
-		x.states[si] = st
+		x.states = append(x.states, st)
+	}
+	if id, ok := firstRepeat(all, nextID); ok {
+		return nil, fmt.Errorf("shard: id %d mapped twice", id)
 	}
 	x.dim = x.states[0].ix.Dim()
 	for si, st := range x.states[1:] {
@@ -182,31 +198,29 @@ func ReadLogged(r io.Reader, logger *slog.Logger) (*Index, error) {
 	return x, nil
 }
 
-// readIDs reads n little-endian int32 ids in bounded chunks, so a corrupt
-// or hostile length field cannot force a huge up-front allocation: memory
-// grows only as fast as the stream actually delivers bytes, and a short
-// stream fails at the first missing chunk.
-func readIDs(r io.Reader, n uint64) ([]int32, error) {
-	const chunk = 1 << 20 // entries per read (4 MiB of trust at a time)
-	c := n
-	if c > chunk {
-		c = chunk
-	}
-	ids := make([]int32, 0, c)
-	buf := make([]int32, c)
-	for n > 0 {
-		c = n
-		if c > chunk {
-			c = chunk
+// firstRepeat returns an id that occurs twice in ids, all of which lie in
+// [0, nextID). It marks a bitmap over [0, nextID) when that is no larger
+// than the ids themselves, and sorts ids otherwise, so a large next id
+// cannot size an allocation.
+func firstRepeat(ids []int32, nextID uint64) (int32, bool) {
+	if nextID <= 32*uint64(len(ids)) {
+		seen := make([]uint64, (nextID+63)/64)
+		for _, id := range ids {
+			w, bit := id>>6, uint64(1)<<(id&63)
+			if seen[w]&bit != 0 {
+				return id, true
+			}
+			seen[w] |= bit
 		}
-		b := buf[:c]
-		if err := binary.Read(r, binary.LittleEndian, b); err != nil {
-			return nil, err
-		}
-		ids = append(ids, b...)
-		n -= c
+		return 0, false
 	}
-	return ids, nil
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return ids[i], true
+		}
+	}
+	return 0, false
 }
 
 // monotone reports whether the id mapping is strictly increasing (the
@@ -218,37 +232,4 @@ func monotone(ids []int32) bool {
 		}
 	}
 	return true
-}
-
-// Save writes the sharded index to path (atomic rename).
-func (x *Index) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := x.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// Load reads a sharded index from path.
-func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	x, err := ReadLogged(f, nil)
-	if err != nil {
-		return nil, fmt.Errorf("shard: loading %s: %w", path, err)
-	}
-	return x, nil
 }

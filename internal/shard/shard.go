@@ -307,13 +307,6 @@ func (x *Index) EnableTracing(cfg trace.Config) *trace.Tracer {
 // one last trace.
 func (x *Index) DisableTracing() { x.tracer.Store(nil) }
 
-// Tracer returns the active tracer, or nil when tracing is disabled.
-func (x *Index) Tracer() *trace.Tracer { return x.tracer.Load() }
-
-// AttachTracer points the scatter path at an existing tracer (nil
-// detaches), so a caller can aggregate several indexes into one ring.
-func (x *Index) AttachTracer(t *trace.Tracer) { x.tracer.Store(t) }
-
 // EnableCapture installs a workload capture buffer on the merged query
 // path and returns it. Sampled queries record the merged global result
 // list — the scatter-gather ground truth — with the sharded config
@@ -395,7 +388,6 @@ func (x *Index) PublishExpvar(name string) {
 		if m := st.ix.Metrics(); m != nil {
 			metrics.Publish(sub, m)
 		}
-		st.ix.SetProfileLabel(sub)
 	}
 }
 
@@ -434,9 +426,9 @@ func (x *Index) workerCount() int {
 // Search projects q once (all shards share the same trained rotation) and
 // scatters it. Distances are squared Euclidean in the quantized space.
 func (x *Index) Search(q []float32, k int, opt core.SearchOptions) ([]vec.Neighbor, error) {
-	if k < 1 {
+	if err := core.CheckSearchArgs(k, opt); err != nil {
 		x.reg.RecordError()
-		return nil, fmt.Errorf("shard: k must be >= 1, got %d", k)
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	qz, err := x.states[0].ix.ProjectQuery(q)
 	if err != nil {
@@ -449,9 +441,9 @@ func (x *Index) Search(q []float32, k int, opt core.SearchOptions) ([]vec.Neighb
 // SearchProjected runs one query already rotated into the shared PCA
 // space.
 func (x *Index) SearchProjected(qz []float32, k int, opt core.SearchOptions) ([]vec.Neighbor, error) {
-	if k < 1 {
+	if err := core.CheckSearchArgs(k, opt); err != nil {
 		x.reg.RecordError()
-		return nil, fmt.Errorf("shard: k must be >= 1, got %d", k)
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	if err := vec.CheckFiniteVec(qz); err != nil {
 		x.reg.RecordError()

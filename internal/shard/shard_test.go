@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -562,11 +561,11 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if _, err := x.Add(testData(t, 4, 24, 12)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "index.vaqs")
-	if err := x.Save(path); err != nil {
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	y, err := Load(path)
+	y, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +597,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		}
 	}
 	// Truncated stream must fail loudly, not mis-parse.
-	var buf bytes.Buffer
+	buf.Reset()
 	if _, err := x.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -829,5 +828,39 @@ func TestNonFiniteInputRejected(t *testing.T) {
 	// No id was burnt: the next batch continues at Len.
 	if first, err := x.Add(data.SliceRows(300, 330)); err != nil || first != 300 {
 		t.Fatalf("Add after rejected Adds: first id %d, err %v", first, err)
+	}
+}
+
+// The VisitFrac contract holds on the scatter path too: NaN and values
+// outside [0, 1] are refused before any shard runs, and counted once.
+func TestVisitFracContract(t *testing.T) {
+	data := testData(t, 300, 16, 28)
+	x := mustBuild(t, data, core.Config{NumSubspaces: 4, Budget: 24, Seed: 28}, Options{Shards: 3})
+	qz, err := x.states[0].ix.ProjectQuery(data.Row(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(core.SearchOptions) error{
+		"Search": func(o core.SearchOptions) error { _, err := x.Search(data.Row(2), 5, o); return err },
+		"SearchProjected": func(o core.SearchOptions) error {
+			_, err := x.SearchProjected(qz, 5, o)
+			return err
+		},
+	}
+	for name, search := range entries {
+		for _, f := range []float64{math.NaN(), -0.5, 1.5, math.Inf(1)} {
+			before := x.Metrics().Snapshot().Errors
+			if err := search(core.SearchOptions{VisitFrac: f}); err == nil || !strings.Contains(err.Error(), "VisitFrac") {
+				t.Errorf("%s VisitFrac %v: got %v, want a VisitFrac error", name, f, err)
+			}
+			if got := x.Metrics().Snapshot().Errors - before; got != 1 {
+				t.Errorf("%s VisitFrac %v: %d errors counted, want 1", name, f, got)
+			}
+		}
+		for _, f := range []float64{0, 0.3, 1} {
+			if err := search(core.SearchOptions{VisitFrac: f}); err != nil {
+				t.Errorf("%s VisitFrac %v: %v", name, f, err)
+			}
+		}
 	}
 }

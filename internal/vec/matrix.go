@@ -229,20 +229,9 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 	if rows < 0 || cols < 0 || (cols != 0 && rows > (1<<40)/cols) {
 		return nil, fmt.Errorf("vec: implausible matrix shape %dx%d", rows, cols)
 	}
-	m := NewMatrix(rows, cols)
-	buf := make([]byte, 4*8192)
-	for off := 0; off < len(m.Data); {
-		chunk := len(m.Data) - off
-		if chunk > 8192 {
-			chunk = 8192
-		}
-		if _, err := io.ReadFull(r, buf[:4*chunk]); err != nil {
-			return nil, fmt.Errorf("vec: reading matrix body: %w", err)
-		}
-		for i := 0; i < chunk; i++ {
-			m.Data[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-		off += chunk
+	data, err := ReadLittleEndian[float32](r, uint64(rows*cols))
+	if err != nil {
+		return nil, fmt.Errorf("vec: reading matrix body: %w", err)
 	}
-	return m, nil
+	return &Matrix{Rows: rows, Cols: cols, Data: data}, nil
 }

@@ -8,6 +8,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vaq/internal/core"
+	"vaq/internal/metrics"
+	"vaq/internal/trace"
 )
 
 // TestObservabilityEndToEnd drives the full debug surface the way an
@@ -16,13 +20,13 @@ import (
 // endpoint — Prometheus metrics (with attribution and recall), the
 // human-readable trace dump, and the Chrome trace-event export.
 func TestObservabilityEndToEnd(t *testing.T) {
-	ix, data := metricsTestIndex(t, 1500, 16, Config{
+	ix, data := metricsTestIndex(t, 1500, 16, core.Config{
 		NumSubspaces: 8, Budget: 48, Seed: 11, RecallSampleRate: 0.5,
 	})
 	tr := ix.EnableTracing(TraceConfig{RingSize: 32, SlowThreshold: time.Nanosecond, Exemplars: 4})
-	ix.PublishExpvar("vaq_e2e_index")
-	PublishTrace("vaq_e2e_index", tr)
-	srv, err := ServeDebug("127.0.0.1:0")
+	metrics.Publish("vaq_e2e_index", ix.inner.Metrics())
+	trace.Publish("vaq_e2e_index", tr)
+	srv, err := metrics.ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +100,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// The public snapshot exposes the same attribution and recall.
-	snap := ix.Metrics()
+	snap := ix.inner.Metrics().Snapshot()
 	if snap.RecallSamples != 32 {
 		t.Errorf("RecallSamples = %d, want 32", snap.RecallSamples)
 	}
-	if snap.ObservedRecall <= 0 || snap.ObservedRecall > 1 {
-		t.Errorf("ObservedRecall = %v", snap.ObservedRecall)
+	if r := snap.ObservedRecall(); r <= 0 || r > 1 {
+		t.Errorf("ObservedRecall = %v", r)
 	}
 	if len(snap.AbandonDepths) == 0 || len(snap.TISkipsByRank) == 0 {
 		t.Errorf("attribution missing from public snapshot")

@@ -1,36 +1,11 @@
 package vaq
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"log/slog"
-	"runtime"
-	"sync"
 
-	"vaq/internal/core"
 	"vaq/internal/shard"
 	"vaq/internal/vec"
-	"vaq/internal/workload"
-)
-
-func coreOptions(opt SearchOptions) core.SearchOptions {
-	return core.SearchOptions{
-		Mode:      opt.Mode,
-		VisitFrac: opt.VisitFrac,
-		Subspaces: opt.Subspaces,
-	}
-}
-
-// ShardPolicy selects how a sharded index routes Add batches to shards.
-type ShardPolicy = shard.Policy
-
-// Shard assignment policies.
-const (
-	// ShardRoundRobin rotates whole batches across shards (default).
-	ShardRoundRobin = shard.PolicyRoundRobin
-	// ShardLeastLoaded sends each batch to the currently smallest shard.
-	ShardLeastLoaded = shard.PolicyLeastLoaded
 )
 
 // ShardedIndex is a VAQ index partitioned across Config.Shards independent
@@ -41,46 +16,21 @@ const (
 // lists in the same strict (distance, id) order the single index uses —
 // with Shards=1 results and serialized shard payloads are bit-identical to
 // an unsharded Index. Add reserves global ids with one atomic counter and
-// routes each batch to one shard by ShardPolicy, so concurrent Adds only
+// routes each batch to one shard round-robin, so concurrent Adds only
 // contend when they land on the same shard.
 type ShardedIndex struct {
 	inner *shard.Index
 }
 
-// BuildSharded trains one model over data and encodes it across
-// cfg.Shards parallel shards. cfg.Shards <= 1 builds a single shard.
-func BuildSharded(data [][]float32, cfg Config) (*ShardedIndex, error) {
-	m, err := vec.FromRows(data)
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	return buildShardedMatrices(m, m, cfg)
-}
-
-// BuildShardedWithTrainingSet trains on train and encodes data across
-// cfg.Shards parallel shards.
+// BuildShardedWithTrainingSet trains one model on train and encodes data
+// across cfg.Shards parallel shards. cfg.Shards <= 1 builds a single
+// shard.
 func BuildShardedWithTrainingSet(train, data [][]float32, cfg Config) (*ShardedIndex, error) {
-	tm, err := vec.FromRows(train)
+	tm, dm, err := matrices(train, data)
 	if err != nil {
-		return nil, fmt.Errorf("vaq: train: %w", err)
+		return nil, err
 	}
-	dm, err := vec.FromRows(data)
-	if err != nil {
-		return nil, fmt.Errorf("vaq: data: %w", err)
-	}
-	return buildShardedMatrices(tm, dm, cfg)
-}
-
-func buildShardedMatrices(train, data *vec.Matrix, cfg Config) (*ShardedIndex, error) {
-	s := cfg.Shards
-	if s < 1 {
-		s = 1
-	}
-	inner, err := shard.Build(train, data, cfg.toCore(), shard.Options{
-		Shards:         s,
-		Policy:         cfg.ShardPolicy,
-		SkewAlertRatio: cfg.ShardSkewAlertRatio,
-	})
+	inner, err := shard.Build(tm, dm, cfg.toCore(), shard.Options{Shards: max(cfg.Shards, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("vaq: %w", err)
 	}
@@ -90,82 +40,24 @@ func buildShardedMatrices(train, data *vec.Matrix, cfg Config) (*ShardedIndex, e
 // Len reports the total number of encoded vectors across all shards.
 func (ix *ShardedIndex) Len() int { return ix.inner.Len() }
 
-// Dim reports the expected query dimensionality.
-func (ix *ShardedIndex) Dim() int { return ix.inner.Dim() }
-
-// Shards reports the number of shards actually built (Config.Shards
-// clamped to the dataset size).
-func (ix *ShardedIndex) Shards() int { return ix.inner.Shards() }
-
-// ShardLens reports each shard's current vector count — useful for
-// watching how the assignment policy balances ingest.
-func (ix *ShardedIndex) ShardLens() []int { return ix.inner.ShardLens() }
-
-// Search returns the approximate k nearest neighbors of q with default
-// options, merged across all shards.
-func (ix *ShardedIndex) Search(q []float32, k int) ([]Result, error) {
-	return ix.SearchWith(q, k, SearchOptions{})
-}
-
 // SearchWith returns the approximate k nearest neighbors under explicit
 // options, merged across all shards.
 func (ix *ShardedIndex) SearchWith(q []float32, k int, opt SearchOptions) ([]Result, error) {
-	res, err := ix.inner.Search(q, k, coreOptions(opt))
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	return toResults(res), nil
+	return results(ix.inner.Search(q, k, opt.toCore()))
 }
 
 // SearchBatch answers many queries in query order, fanning them out
 // across workers outer goroutines (each query additionally scatters to
-// per-shard searchers). Error semantics match Index.SearchBatch: k < 1 is
-// rejected up front, per-query faults keep their slot nil and come back
-// joined.
+// per-shard searchers). Error semantics match Index.SearchBatch.
 func (ix *ShardedIndex) SearchBatch(queries [][]float32, k int, opt SearchOptions, workers int) ([][]Result, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("vaq: k must be >= 1, got %d", k)
-	}
-	n := len(queries)
-	out := make([][]Result, n)
-	if n == 0 {
-		return out, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	qErrs := make([]error, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for qi := range next {
-				res, err := ix.SearchWith(queries[qi], k, opt)
-				if err != nil {
-					qErrs[qi] = fmt.Errorf("vaq: query %d: %w", qi, err)
-					continue
-				}
-				out[qi] = res
-			}
-		}()
-	}
-	for qi := 0; qi < n; qi++ {
-		next <- qi
-	}
-	close(next)
-	wg.Wait()
-	return out, errors.Join(qErrs...)
+	return searchBatch(queries, k, workers, func() func([]float32) ([]Result, error) {
+		return func(q []float32) ([]Result, error) { return ix.SearchWith(q, k, opt) }
+	})
 }
 
-// Add encodes new vectors into one shard chosen by the assignment policy
-// and returns the first global id assigned. Ids are reserved atomically,
-// so concurrent Adds proceed in parallel and only batches routed to the
-// same shard serialize.
+// Add encodes new vectors into one shard and returns the first global id
+// assigned. Ids are reserved atomically, so concurrent Adds proceed in
+// parallel and only batches routed to the same shard serialize.
 func (ix *ShardedIndex) Add(vectors [][]float32) (int, error) {
 	m, err := vec.FromRows(vectors)
 	if err != nil {
@@ -178,117 +70,14 @@ func (ix *ShardedIndex) Add(vectors [][]float32) (int, error) {
 	return first, nil
 }
 
-// Metrics returns the merged telemetry snapshot: one record per query,
-// per-shard pruning counters summed, latency measured end-to-end around
-// the scatter-gather. Zero-valued when Config.DisableMetrics was set.
-func (ix *ShardedIndex) Metrics() MetricsSnapshot {
-	if m := ix.inner.Metrics(); m != nil {
-		return toSnapshot(m.Snapshot())
-	}
-	return MetricsSnapshot{}
-}
-
-// ResetMetrics zeroes the merged registry and every per-shard registry.
-func (ix *ShardedIndex) ResetMetrics() {
-	ix.inner.Metrics().Reset()
-	for i := 0; i < ix.inner.Shards(); i++ {
-		ix.inner.Shard(i).Metrics().Reset()
-	}
-}
-
-// PublishExpvar registers the merged registry on /debug/vars (and the
-// Prometheus endpoint) under name, and each per-shard registry under
-// name/shard-i.
-func (ix *ShardedIndex) PublishExpvar(name string) { ix.inner.PublishExpvar(name) }
-
-// PublishDiagnostics registers every shard's index-quality report under
-// name/shard-i for GET /debug/vaq/report?index=....
-func (ix *ShardedIndex) PublishDiagnostics(name string) { ix.inner.PublishDiagnostics(name) }
-
-// ConfigFingerprint is the stable short hash identifying the
-// search-relevant configuration. With one shard it equals the unsharded
-// fingerprint (the degenerate case answers bit-identically); with more it
-// derives a sharded fingerprint from it.
-func (ix *ShardedIndex) ConfigFingerprint() string { return ix.inner.ConfigFingerprint() }
-
-// EnableTracing installs a fresh per-query tracer on the sharded index
-// and returns it. From the next query on, every search files one parent
-// QueryTrace whose spans carry a Shard id: per shard a SpanShardWait
-// (queue delay on the scatter worker pool) and a SpanShardScan (the
-// shard's whole search with its TI/EA/lookup attribution and final top-k
-// hits inline), one SpanBoundFeedback per cross-shard bound tightening
-// (crediting the prunes it enabled downstream), and a trailing
-// SpanShardMerge. Disabled, tracing costs the scatter path one pointer
-// check per query.
-func (ix *ShardedIndex) EnableTracing(cfg TraceConfig) *Tracer {
-	return ix.inner.EnableTracing(cfg)
-}
-
-// DisableTracing detaches the sharded index's tracer; queries already in
-// flight may still file one last trace.
-func (ix *ShardedIndex) DisableTracing() { ix.inner.DisableTracing() }
-
-// Tracer returns the active tracer, or nil when tracing is disabled.
-func (ix *ShardedIndex) Tracer() *Tracer { return ix.inner.Tracer() }
-
-// AttachTracer points the sharded query path at an existing tracer (nil
-// detaches), so several indexes can aggregate into one ring.
-func (ix *ShardedIndex) AttachTracer(t *Tracer) { ix.inner.AttachTracer(t) }
-
-// EnableCapture installs a workload capture buffer on the merged query
-// path and returns it. Sampled queries record the merged global result
-// list — the scatter-gather ground truth — and the log's provenance
-// carries the sharded config fingerprint and the shard count, so a replay
-// can gate merge correctness across rebuilds with different Shards
-// values. Off by default; off, the scatter path pays one pointer load.
-func (ix *ShardedIndex) EnableCapture(cfg CaptureConfig) *WorkloadCapture {
-	return ix.inner.EnableCapture(cfg)
-}
-
-// DisableCapture detaches the capture buffer; records already stored stay
-// readable through the WorkloadCapture EnableCapture returned.
-func (ix *ShardedIndex) DisableCapture() { ix.inner.DisableCapture() }
-
-// Capture returns the active workload capture, or nil when capture is
-// off.
-func (ix *ShardedIndex) Capture() *WorkloadCapture { return ix.inner.Capture() }
-
-// ReplayWorkload re-runs a captured workload log through the sharded
-// scatter-gather path and diffs the merged answers against the recorded
-// ones — the merge-correctness gate: a log captured on an unsharded index
-// replayed here measures exactly how far sharded merging diverges.
-func (ix *ShardedIndex) ReplayWorkload(l *WorkloadLog, opt ReplayOptions) (*ReplayReport, []ReplayQueryDiff, error) {
-	rep, diffs, err := workload.Replay(l, ix.inner.ReplayRunner(), opt)
-	if err != nil {
-		return nil, nil, fmt.Errorf("vaq: %w", err)
-	}
-	return rep, diffs, nil
-}
-
 // WriteTo serializes the sharded index: a "VAQS" envelope (shard count,
 // assignment policy, id mappings) around one versioned single-index
 // stream per shard.
 func (ix *ShardedIndex) WriteTo(w io.Writer) (int64, error) { return ix.inner.WriteTo(w) }
 
 // ReadSharded deserializes a sharded index written by WriteTo.
-func ReadSharded(r io.Reader) (*ShardedIndex, error) { return ReadShardedLogged(r, nil) }
-
-// ReadShardedLogged is ReadSharded with a structured logger attached to
-// the loaded index's maintenance paths. nil behaves like ReadSharded.
-func ReadShardedLogged(r io.Reader, l *slog.Logger) (*ShardedIndex, error) {
-	inner, err := shard.ReadLogged(r, l)
-	if err != nil {
-		return nil, fmt.Errorf("vaq: %w", err)
-	}
-	return &ShardedIndex{inner: inner}, nil
-}
-
-// Save writes the sharded index to a file (atomic rename).
-func (ix *ShardedIndex) Save(path string) error { return ix.inner.Save(path) }
-
-// LoadSharded reads a sharded index from a file.
-func LoadSharded(path string) (*ShardedIndex, error) {
-	inner, err := shard.Load(path)
+func ReadSharded(r io.Reader) (*ShardedIndex, error) {
+	inner, err := shard.Read(r)
 	if err != nil {
 		return nil, fmt.Errorf("vaq: %w", err)
 	}

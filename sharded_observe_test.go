@@ -7,65 +7,67 @@ import (
 	"testing"
 	"time"
 
+	"vaq/internal/core"
 	"vaq/internal/metrics"
+	"vaq/internal/shard"
 )
 
 // TestShardedResetMetrics pins the reset contract: after traffic,
-// ResetMetrics zeroes the merged registry AND every per-shard name/shard-i
+// resetting the registries zeroes the merged one AND every per-shard name/shard-i
 // registry, including the scatter attribution.
 func TestShardedResetMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	data := genData(rng, 600, 24)
 	cfg := Config{NumSubspaces: 6, Budget: 36, Seed: 11, Shards: 3}
-	sx, err := BuildSharded(data, cfg)
+	sx, err := BuildShardedWithTrainingSet(data, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for qi := 0; qi < 6; qi++ {
-		if _, err := sx.Search(data[qi*17], 5); err != nil {
+		if _, err := sx.SearchWith(data[qi*17], 5, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Preconditions: merged, per-shard and scatter counters all moved.
-	if snap := sx.Metrics(); snap.Queries != 6 || snap.Sharded == nil || snap.Sharded.WindowQueries != 6 {
+	if snap := sx.inner.Metrics().Snapshot(); snap.Queries != 6 || snap.Sharded == nil || snap.Sharded.WindowQueries != 6 {
 		t.Fatalf("precondition: merged snapshot %+v", snap)
 	}
-	for i := 0; i < sx.Shards(); i++ {
+	for i := 0; i < sx.inner.Shards(); i++ {
 		if s := sx.inner.Shard(i).Metrics().Snapshot(); s.Queries == 0 {
 			t.Fatalf("precondition: shard %d registry saw no queries", i)
 		}
 	}
 
-	sx.ResetMetrics()
+	resetSharded(sx)
 
-	snap := sx.Metrics()
+	snap := sx.inner.Metrics().Snapshot()
 	if snap.Queries != 0 || snap.CodesConsidered != 0 || snap.Lookups != 0 {
-		t.Errorf("merged registry not zero after ResetMetrics: %+v", snap)
+		t.Errorf("merged registry not zero after the reset: %+v", snap)
 	}
 	if snap.Sharded == nil {
-		t.Fatal("ResetMetrics dropped the scatter configuration")
+		t.Fatal("the reset dropped the scatter configuration")
 	}
 	if snap.Sharded.WindowQueries != 0 {
-		t.Errorf("scatter window has %d queries after ResetMetrics", snap.Sharded.WindowQueries)
+		t.Errorf("scatter window has %d queries after the reset", snap.Sharded.WindowQueries)
 	}
 	for i, v := range snap.Sharded.CriticalPath {
 		if v != 0 {
-			t.Errorf("critical path[%d] = %d after ResetMetrics", i, v)
+			t.Errorf("critical path[%d] = %d after the reset", i, v)
 		}
 	}
-	for i := 0; i < sx.Shards(); i++ {
+	for i := 0; i < sx.inner.Shards(); i++ {
 		s := sx.inner.Shard(i).Metrics().Snapshot()
 		if s.Queries != 0 || s.CodesConsidered != 0 || s.Lookups != 0 {
-			t.Errorf("shard %d registry not zero after ResetMetrics: queries=%d considered=%d",
+			t.Errorf("shard %d registry not zero after the reset: queries=%d considered=%d",
 				i, s.Queries, s.CodesConsidered)
 		}
 	}
 
 	// The registries keep recording after the reset.
-	if _, err := sx.Search(data[0], 5); err != nil {
+	if _, err := sx.SearchWith(data[0], 5, SearchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if snap := sx.Metrics(); snap.Queries != 1 {
+	if snap := sx.inner.Metrics().Snapshot(); snap.Queries != 1 {
 		t.Errorf("post-reset traffic recorded %d queries, want 1", snap.Queries)
 	}
 }
@@ -76,18 +78,14 @@ func TestShardedResetMetrics(t *testing.T) {
 func TestShardedSLOBreachGauge(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	data := genData(rng, 400, 16)
-	cfg := Config{
-		NumSubspaces: 4, Budget: 24, Seed: 13, Shards: 2,
-		SLO: &SLO{LatencyTarget: time.Millisecond, LatencyObjective: 0.5, Window: 4},
-	}
-	sx, err := BuildSharded(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sx.PublishExpvar("slo_breach_sharded")
+	sx := buildShardedCore(t, data, core.Config{
+		NumSubspaces: 4, Budget: 24, Seed: 13,
+		SLO: &metrics.SLO{LatencyTarget: time.Millisecond, LatencyObjective: 0.5, Window: 4},
+	}, shard.Options{Shards: 2})
+	sx.inner.PublishExpvar("slo_breach_sharded")
 	defer func() {
 		metrics.Publish("slo_breach_sharded", nil)
-		for i := 0; i < sx.Shards(); i++ {
+		for i := 0; i < sx.inner.Shards(); i++ {
 			metrics.Publish(fmt.Sprintf("slo_breach_sharded/shard-%d", i), nil)
 		}
 	}()
@@ -135,7 +133,7 @@ func TestShardedSLOBreachGauge(t *testing.T) {
 	if g := gauge(); g != "1" {
 		t.Fatalf("re-breached sharded gauge = %s, want 1", g)
 	}
-	if snap := sx.Metrics(); snap.SLO == nil {
+	if snap := sx.inner.Metrics().Snapshot(); snap.SLO == nil {
 		t.Error("sharded snapshot missing the SLO evaluation")
 	}
 }

@@ -3,9 +3,36 @@ package vaq
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"testing"
+
+	"vaq/internal/core"
+	"vaq/internal/shard"
+	"vaq/internal/vec"
+	"vaq/internal/workload"
 )
+
+// buildShardedCore builds through internal/shard with settings the public
+// Config does not carry, and wraps the result as a ShardedIndex.
+func buildShardedCore(t testing.TB, data [][]float32, cfg core.Config, opts shard.Options) *ShardedIndex {
+	t.Helper()
+	m, err := vec.FromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := shard.Build(m, m, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ShardedIndex{inner: inner}
+}
+
+// resetSharded zeroes the merged registry and every per-shard registry.
+func resetSharded(sx *ShardedIndex) {
+	sx.inner.Metrics().Reset()
+	for i := 0; i < sx.inner.Shards(); i++ {
+		sx.inner.Shard(i).Metrics().Reset()
+	}
+}
 
 // TestShardedPublicAPI walks the ShardedIndex surface end to end: build,
 // search parity with the unsharded index under exhaustive settings,
@@ -14,21 +41,21 @@ func TestShardedPublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := genData(rng, 900, 32)
 	cfg := Config{NumSubspaces: 8, Budget: 48, Seed: 3, Shards: 4}
-	sx, err := BuildSharded(data, cfg)
+	sx, err := BuildShardedWithTrainingSet(data, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sx.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", sx.Shards())
+	if sx.inner.Shards() != 4 {
+		t.Fatalf("Shards() = %d, want 4", sx.inner.Shards())
 	}
-	if sx.Len() != 900 || sx.Dim() != 32 {
-		t.Fatalf("shape (%d, %d), want (900, 32)", sx.Len(), sx.Dim())
+	if sx.Len() != 900 || sx.inner.Dim() != 32 {
+		t.Fatalf("shape (%d, %d), want (900, 32)", sx.Len(), sx.inner.Dim())
 	}
 	ux, err := Build(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := SearchOptions{Mode: ModeTIEA, VisitFrac: 1.0}
+	opt := SearchOptions{VisitFrac: 1.0}
 	for qi := 0; qi < 20; qi++ {
 		q := data[qi*7]
 		want, err := ux.SearchWith(q, 10, opt)
@@ -71,31 +98,24 @@ func TestShardedPublicAPI(t *testing.T) {
 		t.Fatalf("Add: first=%d Len=%d, want 900/903", first, sx.Len())
 	}
 
-	snap := sx.Metrics()
+	snap := sx.inner.Metrics().Snapshot()
 	if snap.Queries == 0 {
 		t.Fatal("merged metrics recorded no queries")
 	}
 
-	path := filepath.Join(t.TempDir(), "ix.vaqs")
-	if err := sx.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	lx, err := LoadSharded(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lx.Shards() != sx.Shards() || lx.Len() != sx.Len() {
-		t.Fatalf("loaded shape (%d, %d) != (%d, %d)", lx.Shards(), lx.Len(), sx.Shards(), sx.Len())
-	}
-	if lx.ConfigFingerprint() != sx.ConfigFingerprint() {
-		t.Fatal("fingerprint changed across save/load")
-	}
 	var buf bytes.Buffer
 	if _, err := sx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSharded(bytes.NewReader(buf.Bytes())); err != nil {
+	lx, err := ReadSharded(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if lx.inner.Shards() != sx.inner.Shards() || lx.Len() != sx.Len() {
+		t.Fatalf("loaded shape (%d, %d) != (%d, %d)", lx.inner.Shards(), lx.Len(), sx.inner.Shards(), sx.Len())
+	}
+	if lx.inner.ConfigFingerprint() != sx.inner.ConfigFingerprint() {
+		t.Fatal("fingerprint changed across WriteTo/ReadSharded")
 	}
 }
 
@@ -118,12 +138,12 @@ func TestShardedReplayFromUnshardedCapture(t *testing.T) {
 	}
 	log := cap.Snapshot()
 	cfg.Shards = 4
-	sx, err := BuildSharded(data, cfg)
+	sx, err := BuildShardedWithTrainingSet(data, data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := sx.ReplayWorkload(log, ReplayOptions{
-		Thresholds: ReplayThresholds{MinOverlap: 1.0},
+	rep, _, err := workload.Replay(log, sx.inner.ReplayRunner(), workload.Options{
+		Thresholds: workload.Thresholds{MinOverlap: 1.0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,15 +168,15 @@ func TestShardedS1MatchesUnsharded(t *testing.T) {
 	}
 	for _, shards := range []int{0, 1} {
 		cfg.Shards = shards
-		sx, err := BuildSharded(data, cfg)
+		sx, err := BuildShardedWithTrainingSet(data, data, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sx.Shards() != 1 {
-			t.Fatalf("Shards=%d built %d shards, want 1", shards, sx.Shards())
+		if sx.inner.Shards() != 1 {
+			t.Fatalf("Shards=%d built %d shards, want 1", shards, sx.inner.Shards())
 		}
-		if sx.ConfigFingerprint() != ux.ConfigFingerprint() {
-			t.Fatalf("Shards=%d fingerprint %q != unsharded %q", shards, sx.ConfigFingerprint(), ux.ConfigFingerprint())
+		if sx.inner.ConfigFingerprint() != ux.inner.ConfigFingerprint() {
+			t.Fatalf("Shards=%d fingerprint %q != unsharded %q", shards, sx.inner.ConfigFingerprint(), ux.inner.ConfigFingerprint())
 		}
 		for qi := 0; qi < 10; qi++ {
 			q := data[qi*13]
@@ -164,7 +184,7 @@ func TestShardedS1MatchesUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sx.Search(q, 10)
+			got, err := sx.SearchWith(q, 10, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

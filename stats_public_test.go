@@ -3,6 +3,8 @@ package vaq
 import (
 	"math/rand"
 	"testing"
+
+	"vaq/internal/core"
 )
 
 func TestPublicSearchStats(t *testing.T) {
@@ -13,7 +15,7 @@ func TestPublicSearchStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ix.NewSearcher()
-	if _, err := s.Search(data[10], 5, SearchOptions{Mode: ModeTIEA, VisitFrac: 0.2}); err != nil {
+	if _, err := s.Search(data[10], 5, SearchOptions{VisitFrac: 0.2}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.LastStats()
@@ -27,7 +29,7 @@ func TestPublicSearchStats(t *testing.T) {
 		t.Fatalf("no lookups recorded: %+v", st)
 	}
 	// A heap scan resets the stats to the exhaustive profile.
-	if _, err := s.Search(data[10], 5, SearchOptions{Mode: ModeHeap}); err != nil {
+	if _, err := s.inner.Search(data[10], 5, core.SearchOptions{Mode: core.ModeHeap}); err != nil {
 		t.Fatal(err)
 	}
 	st = s.LastStats()

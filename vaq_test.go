@@ -3,8 +3,27 @@ package vaq
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"vaq/internal/core"
+	"vaq/internal/vec"
 )
+
+// buildCore builds through internal/core with settings the public Config
+// does not carry, and wraps the result as an Index.
+func buildCore(t testing.TB, data [][]float32, cfg core.Config) *Index {
+	t.Helper()
+	m, err := vec.FromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := core.Build(m, m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Index{inner: inner}
+}
 
 func genData(rng *rand.Rand, n, d int) [][]float32 {
 	out := make([][]float32, n)
@@ -26,8 +45,8 @@ func TestBuildAndSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 1500 || ix.Dim() != 32 {
-		t.Fatalf("shape %d %d", ix.Len(), ix.Dim())
+	if ix.Len() != 1500 || ix.inner.Dim() != 32 {
+		t.Fatalf("shape %d %d", ix.Len(), ix.inner.Dim())
 	}
 	res, err := ix.Search(data[7], 10)
 	if err != nil {
@@ -42,7 +61,7 @@ func TestBuildAndSearch(t *testing.T) {
 		}
 	}
 	stats := ix.Stats()
-	if stats.N != 1500 || stats.Dim != 32 || len(stats.BitsPerSubspace) != 8 {
+	if stats.N != 1500 || len(stats.BitsPerSubspace) != 8 {
 		t.Fatalf("stats %+v", stats)
 	}
 	sum := 0
@@ -55,8 +74,8 @@ func TestBuildAndSearch(t *testing.T) {
 	if stats.CodeBytes != (64*1500+7)/8 {
 		t.Fatalf("code bytes %d", stats.CodeBytes)
 	}
-	if stats.TIClusters != 30 {
-		t.Fatalf("clusters %d", stats.TIClusters)
+	if c := ix.inner.TIClusterCount(); c != 30 {
+		t.Fatalf("clusters %d", c)
 	}
 	var varSum float64
 	for _, v := range stats.SubspaceVariances {
@@ -100,6 +119,8 @@ func TestBuildWithTrainingSet(t *testing.T) {
 	}
 }
 
+// core.Build reads a flat row-major matrix in place and answers as a build
+// over the same rows does.
 func TestBuildFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, d := 600, 16
@@ -107,18 +128,30 @@ func TestBuildFlat(t *testing.T) {
 	for i := range flat {
 		flat[i] = float32(rng.NormFloat64())
 	}
-	ix, err := BuildFlat(flat, n, d, Config{NumSubspaces: 4, Budget: 16, Seed: 4, TIClusters: 10})
+	cfg := Config{NumSubspaces: 4, Budget: 16, Seed: 4, TIClusters: 10}
+	m := &vec.Matrix{Rows: n, Cols: d, Data: flat}
+	inner, err := core.Build(m, m, cfg.toCore())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := &Index{inner: inner}
 	if ix.Len() != n {
 		t.Fatalf("len %d", ix.Len())
 	}
-	if _, err := BuildFlat(flat, n, d+1, Config{}); err == nil {
-		t.Fatal("bad n*d must fail")
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = flat[i*d : (i+1)*d]
 	}
-	if _, err := BuildFlat(flat, 0, 0, Config{}); err == nil {
-		t.Fatal("zero shape must fail")
+	ref, err := Build(rows, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, qi := range []int{0, 17, 599} {
+		a, errA := ix.Search(rows[qi], 5)
+		b, errB := ref.Search(rows[qi], 5)
+		if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+			t.Fatalf("query %d: flat %v (%v), rows %v (%v)", qi, a, errA, b, errB)
+		}
 	}
 }
 
@@ -130,11 +163,11 @@ func TestSearchWithOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := data[3]
-	full, err := ix.SearchWith(q, 5, SearchOptions{Mode: ModeHeap})
+	full, err := ix.inner.SearchWith(q, 5, core.SearchOptions{Mode: core.ModeHeap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiea, err := ix.SearchWith(q, 5, SearchOptions{Mode: ModeTIEA, VisitFrac: 1})
+	tiea, err := ix.SearchWith(q, 5, SearchOptions{VisitFrac: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

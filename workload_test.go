@@ -4,18 +4,22 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"vaq/internal/core"
+	"vaq/internal/metrics"
+	"vaq/internal/workload"
 )
 
 // TestPublicWorkloadCaptureReplay drives the public capture→save→load→
 // replay loop the way the README quickstart does, including the SLO
 // config passthrough.
 func TestPublicWorkloadCaptureReplay(t *testing.T) {
-	ix, data := metricsTestIndex(t, 600, 12, Config{
+	ix, data := metricsTestIndex(t, 600, 12, core.Config{
 		NumSubspaces: 4, Budget: 24, Seed: 5,
-		SLO: &SLO{LatencyTarget: time.Second},
+		SLO: &metrics.SLO{LatencyTarget: time.Second},
 	})
 	cap := ix.EnableCapture(CaptureConfig{SampleRate: 1})
-	if ix.Capture() != cap {
+	if ix.inner.Capture() != cap {
 		t.Fatal("Capture() does not return the enabled buffer")
 	}
 	for i := 0; i < 10; i++ {
@@ -27,20 +31,20 @@ func TestPublicWorkloadCaptureReplay(t *testing.T) {
 	if len(log.Records) != 10 {
 		t.Fatalf("captured %d records, want 10", len(log.Records))
 	}
-	if log.Fingerprint != ix.ConfigFingerprint() || log.Fingerprint == "" {
-		t.Fatalf("fingerprint mismatch: log %q index %q", log.Fingerprint, ix.ConfigFingerprint())
+	if log.Fingerprint != ix.inner.ConfigFingerprint() || log.Fingerprint == "" {
+		t.Fatalf("fingerprint mismatch: log %q index %q", log.Fingerprint, ix.inner.ConfigFingerprint())
 	}
 
 	path := filepath.Join(t.TempDir(), "public.vaqwl")
 	if err := log.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadWorkloadLog(path)
+	back, err := workload.LoadLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, diffs, err := ix.ReplayWorkload(back, ReplayOptions{
-		Thresholds: ReplayThresholds{MinOverlap: 1},
+	rep, diffs, err := workload.Replay(back, ix.inner.ReplayRunner(), workload.Options{
+		Thresholds: workload.Thresholds{MinOverlap: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +55,7 @@ func TestPublicWorkloadCaptureReplay(t *testing.T) {
 
 	// The SLO passthrough reaches the public snapshot: a 1s target over
 	// sub-millisecond queries leaves the full budget.
-	snap := ix.Metrics()
+	snap := ix.inner.Metrics().Snapshot()
 	if snap.SLO == nil {
 		t.Fatal("MetricsSnapshot.SLO nil with Config.SLO set")
 	}
@@ -59,7 +63,7 @@ func TestPublicWorkloadCaptureReplay(t *testing.T) {
 		t.Errorf("budget spent by fast queries: %+v", snap.SLO)
 	}
 	ix.DisableCapture()
-	if ix.Capture() != nil {
+	if ix.inner.Capture() != nil {
 		t.Error("Capture() non-nil after DisableCapture")
 	}
 }
